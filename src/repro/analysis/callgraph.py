@@ -195,12 +195,16 @@ def default_worker_entries(index: ProjectIndex) -> List[str]:
     """The slave/worker entry points of the shipped repro package.
 
     These are the functions that run inside forked slave or pool-worker
-    processes (or per-round inside the serial twin), i.e. the roots the
-    race detector's "reachable by parallel code" query starts from.
+    processes (or inside the master for the serial backend), i.e. the
+    roots the race detector's "reachable by parallel code" query starts
+    from.  The slave session's methods are listed because the pipe loop
+    reaches them through an instance the call graph cannot follow.
     Fixture corpora pass their own entry list instead.
     """
     candidates = (
         "repro.parallel.master._process_slave_main",
+        "repro.parallel.master._SlaveSession.__init__",
+        "repro.parallel.master._SlaveSession.step",
         "repro.parallel.master.build_slave_experiment",
         "repro.parallel.pool._pool_worker_main",
         "repro.sweep.runner.run_point",

@@ -731,12 +731,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=("pool", "spawn", "serial", "remote"),
+        choices=("pool", "serial", "remote"),
         default="pool",
         help=(
-            "pool = persistent workers (default); spawn = fresh process "
-            "per point; serial = in-process; remote = persistent "
-            "workers on 'repro agent' hosts (needs --listen)"
+            "pool = persistent workers (default); serial = in-process; "
+            "remote = persistent workers on 'repro agent' hosts (needs "
+            "--listen)"
         ),
     )
     sweep.add_argument(

@@ -8,10 +8,11 @@ first-class, *testable* input instead of an operational surprise:
   deterministic schedule of injected failures (kill a slave at round N,
   hang its pipe, drop or corrupt a report) so chaos runs replay
   bit-identically under the determinism sanitizer;
-- :mod:`~repro.faults.injector` — the slave-side hook object that
-  executes a plan inside the slave loop (process backend: real
-  ``os._exit`` / sleeps; serial backend: raised
-  :class:`InjectedFailure` exceptions the master handles identically);
+- :mod:`~repro.faults.injector` — the worker-side hook object that
+  executes a plan inside master slaves and pool workers (process
+  backend: real ``os._exit`` / sleeps; serial backend: raised
+  :class:`InjectedFailure` exceptions and returned hangs that the
+  in-process transport turns into the same deaths and timeouts);
 - :mod:`~repro.faults.netplan` — :class:`NetFaultPlan`, the network
   sibling of FaultPlan: seeded frame-boundary faults (delay, drop,
   duplicate, corrupt, half-open partition, agent crash) applied by

@@ -1,9 +1,10 @@
-"""FaultInjector: executes a fault plan inside the slave loop.
+"""FaultInjector: executes a fault plan inside a worker's loop.
 
 The injector is the *only* piece of the fault subsystem that lives on
-the slave side of the protocol.  It is constructed from the picklable
-per-slave sub-plan (:meth:`repro.faults.plan.FaultPlan.for_slave`) and
-consulted at three points in every measurement round:
+the worker side of the protocol.  Master slaves and pool workers both
+drive one, built from the picklable per-incarnation sub-plan
+(:meth:`repro.faults.plan.FaultPlan.for_slave`) and consulted at three
+points in every round:
 
 1. :meth:`on_chunk_start` — before the chunk runs (``kill``/``pre_run``
    and ``hang`` fire here);
@@ -19,11 +20,12 @@ Two execution modes share the schedule logic:
   reclaims the process without running any cleanup — the closest
   in-repo stand-in for a SIGKILL'd machine — and ``hang`` sleeps with
   the pipe held open, exercising the master's recv deadline.
-- **serial mode** (``raise_instead=True``): ``kill``/``drop`` raise
-  :class:`InjectedFailure` for the in-process master loop to catch, so
-  the serial backend replays the identical failure schedule without
-  destroying the test process.  ``hang`` is ignored in serial mode
-  (there is no pipe to time out on).
+- **in-process mode** (``raise_instead=True``): ``kill``/``drop`` raise
+  :class:`InjectedFailure`, and ``hang`` is returned by
+  :meth:`on_chunk_start` instead of slept.  The master's in-process
+  transport turns these into the same deaths and round-deadline
+  timeouts a process slave produces, without destroying (or stalling)
+  the master's own process.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ KILL_EXIT_STATUS = 86
 
 
 class InjectedFailure(RuntimeError):
-    """Raised in serial mode where process mode would die or go silent.
+    """Raised in in-process mode where process mode would die or go silent.
 
     Carries the triggering :class:`FaultSpec` so the master can record a
     precise cause code.
@@ -70,6 +72,15 @@ def corrupt_payload(payload: dict) -> dict:
     return mangled
 
 
+def corrupt_report(report):
+    """Mangle every metric payload of one slave report in place."""
+    report.histograms = {
+        name: corrupt_payload(payload)
+        for name, payload in report.histograms.items()
+    }
+    return report
+
+
 class FaultInjector:
     """Executes one slave incarnation's scheduled faults.
 
@@ -78,11 +89,15 @@ class FaultInjector:
     specs:
         The picklable sub-plan for this ``(slave_id, generation)``.
     raise_instead:
-        Serial mode — raise :class:`InjectedFailure` instead of exiting
-        or sleeping (see module docstring).
+        In-process mode — raise :class:`InjectedFailure` instead of
+        exiting, and return hangs instead of sleeping (see module
+        docstring).
     sleeper / exiter:
         Injection points for tests: default to ``time.sleep`` and
         ``os._exit``.
+    corrupt:
+        How ``corrupt_payload`` mangles what the worker sends: slave
+        reports by default; the pool passes its result corrupter.
     """
 
     def __init__(
@@ -91,17 +106,16 @@ class FaultInjector:
         raise_instead: bool = False,
         sleeper=time.sleep,
         exiter=os._exit,
+        corrupt=corrupt_report,
     ):
         self._specs = tuple(specs)
         self._raise = raise_instead
         self._sleep = sleeper
         self._exit = exiter
-        #: Serial mode only: a post_report kill observed this round, to
-        #: be raised at the *next* round's start (see after_send).
+        self._corrupt = corrupt
+        #: In-process mode only: a post_report kill observed this round,
+        #: to be raised at the *next* round's start (see after_send).
         self._dead_next: Optional[FaultSpec] = None
-
-    def __bool__(self) -> bool:
-        return bool(self._specs)
 
     def _find(self, round_number: int, kind: str,
               phase: Optional[str] = None) -> Optional[FaultSpec]:
@@ -120,8 +134,12 @@ class FaultInjector:
 
     # -- hooks ---------------------------------------------------------------
 
-    def on_chunk_start(self, round_number: int) -> None:
-        """Pre-run hook: ``kill``/``pre_run`` and ``hang`` fire here."""
+    def on_chunk_start(self, round_number: int) -> Optional[float]:
+        """Pre-run hook: ``kill``/``pre_run`` and ``hang`` fire here.
+
+        Returns the delay of a hang in-process mode did not sleep, for
+        the caller to emulate; None otherwise.
+        """
         if self._dead_next is not None:
             spec, self._dead_next = self._dead_next, None
             raise InjectedFailure(spec)
@@ -129,18 +147,22 @@ class FaultInjector:
         if spec is not None:
             self._die(spec)
         spec = self._find(round_number, "hang")
-        if spec is not None and not self._raise:
-            # Stay silent with the pipe open: the master's recv deadline
-            # must fire.  The sleep bounds the orphan's lifetime if the
-            # master dies too.
-            self._sleep(spec.delay)
+        if spec is None:
+            return None
+        if self._raise:
+            return spec.delay
+        # Stay silent with the pipe open: the master's recv deadline
+        # must fire.  The sleep bounds the orphan's lifetime if the
+        # master dies too.
+        self._sleep(spec.delay)
+        return None
 
     def filter_report(self, round_number: int, report):
         """Pre-send hook: may kill, drop (return None), or corrupt.
 
-        ``report`` is a :class:`~repro.parallel.protocol.SlaveReport`;
-        corruption mangles every metric payload in place of the clean
-        ones so the master's validator attributes the failure correctly.
+        ``report`` is what the worker is about to send; corruption
+        replaces it with the ``corrupt`` callable's mangled form so the
+        master's validator attributes the failure correctly.
         """
         spec = self._find(round_number, "kill", phase="pre_report")
         if spec is not None:
@@ -152,16 +174,13 @@ class FaultInjector:
             return None
         spec = self._find(round_number, "corrupt_payload")
         if spec is not None:
-            report.histograms = {
-                name: corrupt_payload(payload)
-                for name, payload in report.histograms.items()
-            }
+            return self._corrupt(report)
         return report
 
     def after_send(self, round_number: int) -> None:
         """Post-send hook: ``kill``/``post_report`` fires here.
 
-        In serial mode the kill is *deferred* to the next round's
+        In in-process mode the kill is *deferred* to the next round's
         :meth:`on_chunk_start` rather than raised here: the report was
         already merged (exactly as in process mode, where the master
         receives it before the exit), and the process backend only

@@ -22,7 +22,8 @@ Fault kinds
 ``hang``
     The slave stops responding without closing its pipe (sleeps
     ``delay`` seconds, default effectively forever).  Exercises the
-    master's per-round recv deadline; process backend only.
+    master's per-round recv deadline; the serial backend withholds the
+    report instead of sleeping.
 ``drop_report``
     The slave runs its chunk but never sends the report (one round).
     The master sees a heartbeat timeout, exactly as if the report were

@@ -14,8 +14,8 @@ Because each slave must burn its own warm-up + 5000-observation
 calibration before contributing samples, calibration is the Amdahl
 bottleneck that limits speedup beyond ~16 slaves (Fig. 10).
 
-Backends: ``serial`` (in-process, deterministic, used in tests),
-``process`` (one OS process per slave via :mod:`multiprocessing`), and
+Backends, all driven by one master round loop: ``serial`` (an
+in-process transport, deterministic, used in tests), ``process`` (one OS process per slave via :mod:`multiprocessing`), and
 ``remote`` (slaves hosted by :mod:`repro.parallel.agent` processes on
 other machines over the socket transport in
 :mod:`repro.parallel.transport` — the paper's 4-hosts × n-slaves

@@ -1,4 +1,4 @@
-"""The parallel master and its two slave backends.
+"""The parallel master: one round loop over pluggable slave transports.
 
 Protocol (Fig. 3):
 
@@ -17,8 +17,15 @@ Protocol (Fig. 3):
 Chunk sizes grow geometrically per round (``adaptive_chunking``): early
 rounds stay small so convergence is detected promptly on easy targets,
 later rounds amortize the report/merge overhead on hard ones.  The
-master computes the schedule, so the serial and process backends see
-identical per-round chunk sizes and produce identical merged counts.
+master computes the schedule, so every backend sees identical
+per-round chunk sizes and produces identical merged counts.
+
+Every backend runs the same round loop over a
+:class:`~repro.parallel.transport.Transport`.  ``serial`` is an
+in-process transport: each slave is a :class:`_SlaveSession` that the
+master steps synchronously inside ``send``, with no thread or process;
+``process`` forks one OS process per slave running the same session
+behind a pipe loop; ``remote`` binds slots on agent hosts.
 
 **Fault tolerance** (see docs/robustness.md).  The master treats slave
 death as an input, not an exception: every recv carries a per-round
@@ -33,7 +40,7 @@ slave reported in earlier rounds stays valid.  Periodic checkpoints
 slave's work log; ``run(resume_from=...)`` rebuilds slaves by replaying
 those logs, bit-for-bit.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
-for chaos testing on either backend.
+for chaos testing on every backend.
 
 The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 -> Experiment`` that declares the same metrics every time.  For the
@@ -43,6 +50,7 @@ The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -88,6 +96,7 @@ from repro.parallel.transport import (
     LocalPipeTransport,
     Transport,
     TransportCapacityError,
+    WorkerDeath,
     WorkerEndpoint,
     disconnect_cause,
 )
@@ -123,63 +132,97 @@ def build_slave_experiment(
     return experiment
 
 
-def _slave_report(
-    experiment: Experiment,
-    slave_id: int,
-    tracker: Optional[DeltaTracker] = None,
-) -> SlaveReport:
-    histograms = {}
-    lags = {}
-    for statistic in experiment.stats:
-        if statistic.histogram is not None:
-            histograms[statistic.name] = statistic.histogram.to_payload()
-        lags[statistic.name] = statistic.lag
-    delta = tracker is not None
-    if delta:
-        histograms = tracker.delta_histograms(histograms)
-    probe = experiment.simulation.probe
-    return SlaveReport(
-        slave_id=slave_id,
-        histograms=histograms,
-        events_processed=experiment.simulation.events_processed,
-        sim_time=experiment.simulation.now,
-        total_accepted=experiment.stats.total_accepted,
-        lags=lags,
-        delta=delta,
-        digest=probe.snapshot() if probe is not None else None,
-    )
+class _SlaveSession:
+    """One slave incarnation's state, whatever carries its messages.
 
-
-def _process_slave_main(
-    conn,
-    factory,
-    factory_kwargs,
-    seed,
-    schemes,
-    max_events_per_chunk,
-    slave_id,
-    delta_reports,
-    faults=(),
-    replay=(),
-    round_offset=0,
-):
-    """Entry point of one slave process: chunked measure/report loop.
-
-    Commands arrive as ``("chunk", size)`` tuples (the master owns the
-    chunk schedule) or the string ``"stop"``.  ``faults`` is this
-    incarnation's picklable fault sub-plan; ``replay`` is a logged
-    chunk schedule to fast-forward through on resume (the resulting
-    baseline report is sent for the master to validate and discard);
-    ``round_offset`` maps local command numbering onto master rounds so
-    fault specs address the same round on every backend.
+    Holds the replica experiment (bin schemes imposed), its
+    :class:`DeltaTracker`, its :class:`FaultInjector` and — on resume —
+    the ``baseline`` report of its replayed work log, which the master
+    validates and discards.  ``faults`` is this incarnation's picklable
+    fault sub-plan; ``round_offset`` maps local chunk numbering onto
+    master rounds so fault specs address the same round on every
+    backend.  ``in_process`` selects the injector mode that raises
+    instead of exiting (see :mod:`repro.faults.injector`).
     """
-    experiment = build_slave_experiment(factory, factory_kwargs, seed, schemes)
-    tracker = DeltaTracker() if delta_reports else None
-    injector = FaultInjector(faults)
-    if replay:
-        experiment.replay_chunks(replay, max_events=max_events_per_chunk)
-        conn.send(_slave_report(experiment, slave_id, tracker))
-    round_number = round_offset
+
+    def __init__(
+        self,
+        factory,
+        factory_kwargs,
+        seed,
+        schemes,
+        max_events_per_chunk,
+        slave_id,
+        delta_reports,
+        faults=(),
+        replay=(),
+        round_offset=0,
+        in_process=False,
+    ):
+        self.experiment = build_slave_experiment(
+            factory, factory_kwargs, seed, schemes
+        )
+        self.max_events_per_chunk = max_events_per_chunk
+        self.slave_id = slave_id
+        self.tracker = DeltaTracker() if delta_reports else None
+        self.injector = FaultInjector(faults, raise_instead=in_process)
+        self.round_number = round_offset
+        #: In-process mode: this round's injected hang delay, else None.
+        self.hang: Optional[float] = None
+        self.baseline: Optional[SlaveReport] = None
+        if replay:
+            self.experiment.replay_chunks(
+                replay, max_events=max_events_per_chunk
+            )
+            self.baseline = self.report()
+
+    def report(self) -> SlaveReport:
+        experiment = self.experiment
+        histograms = {}
+        lags = {}
+        for statistic in experiment.stats:
+            if statistic.histogram is not None:
+                histograms[statistic.name] = statistic.histogram.to_payload()
+            lags[statistic.name] = statistic.lag
+        delta = self.tracker is not None
+        if delta:
+            histograms = self.tracker.delta_histograms(histograms)
+        probe = experiment.simulation.probe
+        return SlaveReport(
+            slave_id=self.slave_id,
+            histograms=histograms,
+            events_processed=experiment.simulation.events_processed,
+            sim_time=experiment.simulation.now,
+            total_accepted=experiment.stats.total_accepted,
+            lags=lags,
+            delta=delta,
+            digest=probe.snapshot() if probe is not None else None,
+        )
+
+    def step(self, quota: int) -> Optional[SlaveReport]:
+        """Measure one commanded chunk; the report to send, or None."""
+        self.round_number += 1
+        self.hang = None  # stays None when the round dies before a hang
+        self.hang = self.injector.on_chunk_start(self.round_number)
+        self.experiment.run_until_accepted(
+            quota, max_events=self.max_events_per_chunk
+        )
+        return self.injector.filter_report(self.round_number, self.report())
+
+    def after_send(self) -> None:
+        self.injector.after_send(self.round_number)
+
+
+def _process_slave_main(conn, *args):
+    """Entry point of one slave process: a pipe loop around a session.
+
+    ``args`` are :class:`_SlaveSession`'s.  Commands arrive as
+    ``("chunk", size)`` tuples (the master owns the chunk schedule) or
+    the string ``"stop"``.
+    """
+    session = _SlaveSession(*args)
+    if session.baseline is not None:
+        conn.send(session.baseline)
     while True:
         command = conn.recv()
         if command == "stop":
@@ -191,20 +234,131 @@ def _process_slave_main(
             and command[0] == "chunk"
         ):  # pragma: no cover - protocol guard
             raise ParallelError(f"unknown command: {command!r}")
-        round_number += 1
-        injector.on_chunk_start(round_number)
-        experiment.run_until_accepted(
-            command[1], max_events=max_events_per_chunk
-        )
-        report = _slave_report(experiment, slave_id, tracker)
-        report = injector.filter_report(round_number, report)
+        report = session.step(command[1])
         # A dropped report skips after_send: there was no send for a
         # post_report kill to follow.  FaultPlan rejects plans pairing
         # drop_report with a post_report kill on one slot, so the two
-        # backends cannot diverge here (serial raises on the drop).
+        # backends cannot diverge here (in-process raises on the drop).
         if report is not None:
             conn.send(report)
-            injector.after_send(round_number)
+            session.after_send()
+
+
+class _InProcessEndpoint(WorkerEndpoint):
+    """A slave session the master drives itself: no thread, no process.
+
+    ``send`` runs the commanded chunk on the spot and queues its report.
+    An injected death is kept as the cause :meth:`recv` raises, and an
+    injected hang withholds the round's report from any wait it
+    outlasts, so the master sees the same deaths and heartbeat timeouts
+    a process slave would give it.
+    """
+
+    def __init__(self, worker_id, generation, session: _SlaveSession):
+        self.worker_id = worker_id
+        self.generation = generation
+        self.session = session
+        self.inbox = deque()
+        if session.baseline is not None:
+            self.inbox.append(session.baseline)
+        self.cause: Optional[str] = None
+
+    def send(self, message: object) -> None:
+        # The master's only message to an in-process slave is a chunk
+        # command: shutdown never sends "stop" through this transport.
+        try:
+            self.inbox.append(self.session.step(message[1]))
+            self.session.after_send()
+        except InjectedFailure as failure:
+            self.cause = f"{CAUSE_INJECTED}: {failure.spec.kind}"
+
+    def recv(self) -> object:
+        if self.inbox:
+            return self.inbox.popleft()
+        raise WorkerDeath(f"slave {self.worker_id} died", self.cause)
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        hang = self.session.hang
+        if hang is not None and timeout is not None and hang >= timeout:
+            return False
+        return bool(self.inbox) or self.cause is not None
+
+    def close(self) -> None:
+        pass
+
+
+class _InProcessTransport(Transport):
+    """The ``serial`` backend: every slave is a session in the master.
+
+    ``spawn`` builds the :class:`_SlaveSession` that ``entry`` (the
+    process backends' pipe loop) would build, and :meth:`wait` never
+    blocks: each report exists by the time the master waits for it.
+    """
+
+    kind = "inprocess"
+
+    def spawn(self, worker_id, generation, entry, args, timeout=None):
+        session = _SlaveSession(*args, in_process=True)
+        return _InProcessEndpoint(worker_id, generation, session)
+
+    def wait(self, endpoints, timeout=None):
+        return [endpoint for endpoint in endpoints if endpoint.poll(timeout)]
+
+    def shutdown(self, endpoints) -> None:
+        pass
+
+
+def _drain(
+    transport: Transport,
+    slaves: Dict[int, WorkerEndpoint],
+    pending,
+    deadline: Optional[float],
+):
+    """One message from each ``pending`` slave id before ``deadline``.
+
+    Waits on every outstanding endpoint at once: a single hung slave
+    must not consume the other slaves' share of the deadline
+    (sequential recvs would poll the slaves after it with ~0 time left
+    and falsely declare them dead).  Returns ``(received, failed)``:
+    slave id -> message, and slave id -> death cause code.
+    """
+    pending = set(pending)
+    received: Dict[int, object] = {}
+    failed: Dict[int, str] = {}
+    while pending:
+        remaining = (
+            max(0.0, deadline - time.monotonic())
+            if deadline is not None
+            else None
+        )
+        ready = transport.wait(
+            [slaves[slave_id] for slave_id in sorted(pending)],
+            timeout=remaining,
+        )
+        if not ready:
+            # Deadline expired with messages missing: everyone still
+            # pending is hung.
+            for slave_id in pending:
+                failed[slave_id] = CAUSE_HEARTBEAT_TIMEOUT
+            break
+        for endpoint in ready:
+            # Dispatch by endpoint identity — no id()-keyed connection
+            # map that a recycled allocation could alias.
+            slave_id = endpoint.worker_id
+            if slave_id not in pending or slaves.get(slave_id) is not endpoint:
+                continue
+            pending.discard(slave_id)
+            try:
+                received[slave_id] = endpoint.recv()
+            except (
+                FrameError, EOFError, ConnectionResetError,
+                BrokenPipeError, OSError,
+            ) as error:
+                # A dead slave closes (EOFError) or resets its pipe end;
+                # liveness timeouts, corrupt frames and in-process deaths
+                # keep their own cause codes.
+                failed[slave_id] = disconnect_cause(error, CAUSE_PIPE_CLOSED)
+    return received, failed
 
 
 @dataclass
@@ -258,7 +412,7 @@ class ParallelResult:
 
 
 class _RunBook:
-    """Recovery bookkeeping shared by both backends.
+    """Recovery bookkeeping for the round loop.
 
     Tracks, per slave id: the current incarnation's seed and
     generation, its work log (chunk quotas completed *and merged*), the
@@ -372,8 +526,9 @@ class ParallelSimulation:
     n_slaves:
         Number of measurement replicas.
     backend:
-        ``"serial"`` (in-process round-robin; deterministic),
-        ``"process"`` (one OS process per slave on this host), or
+        ``"serial"`` (slaves stepped in-process by the master; no
+        thread or process is started), ``"process"`` (one OS process
+        per slave on this host), or
         ``"remote"`` (slaves hosted by :mod:`repro.parallel.agent`
         processes over a :class:`~repro.parallel.transport.RemoteTransport`;
         requires ``transport``).  All backends run the identical
@@ -394,8 +549,9 @@ class ParallelSimulation:
     max_chunk_size:
         Cap for adaptive growth; defaults to ``16 * chunk_size``.
     round_timeout:
-        Per-round recv deadline in host seconds (process backend).  A
-        slave that produces no report within the deadline is marked
+        Per-round recv deadline in host seconds.  A slave that produces
+        no report within the deadline (an injected ``hang`` on the
+        serial backend) is marked
         dead with cause ``"heartbeat timeout"`` instead of stalling the
         round forever.  ``None`` disables the deadline (the historical
         blocking behavior).
@@ -421,7 +577,8 @@ class ParallelSimulation:
         is written there every ``checkpoint_interval`` rounds; restore
         with ``run(resume_from=checkpoint_path)``.
     transport:
-        Worker dispatch backend for the process/remote backends.
+        Worker dispatch backend for the process/remote backends (the
+        serial backend always uses its in-process transport).
         Defaults to a fresh :class:`LocalPipeTransport` per run for
         ``"process"``; required for ``"remote"``.  A caller-provided
         transport is never closed by the run — its owner closes it.
@@ -938,10 +1095,7 @@ class ParallelSimulation:
             master, schemes, targets = self._calibrate_master()
             self._master_events = master.simulation.events_processed
             master_wall = time.perf_counter() - started
-        if self.backend == "serial":
-            result = self._run_serial(schemes, targets, resume_state)
-        else:
-            result = self._run_process(schemes, targets, resume_state)
+        result = self._run_rounds(schemes, targets, resume_state)
         result.master_events = self._master_events
         result.master_wall_time = master_wall
         result.wall_time = time.perf_counter() - started
@@ -1004,142 +1158,6 @@ class ParallelSimulation:
             },
         )
 
-    # -- serial backend ---------------------------------------------------------
-
-    def _build_serial_slave(self, slave_id: int, book: _RunBook, schemes):
-        experiment = build_slave_experiment(
-            self.factory, self.factory_kwargs, book.seed[slave_id], schemes
-        )
-        tracker = DeltaTracker() if self.delta_reports else None
-        injector = FaultInjector(
-            self._slave_faults(slave_id, book.generation[slave_id]),
-            raise_instead=True,
-        )
-        return experiment, tracker, injector
-
-    def _run_serial(self, schemes, targets, resume=None) -> ParallelResult:
-        book = (
-            _RunBook.from_checkpoint(resume)
-            if resume is not None
-            else _RunBook(self.n_slaves, self.master_seed)
-        )
-        dead: List[int] = sorted(resume.dead) if resume is not None else []
-        slaves: Dict[int, Experiment] = {}
-        trackers: Dict[int, Optional[DeltaTracker]] = {}
-        injectors: Dict[int, FaultInjector] = {}
-        for slave_id in range(self.n_slaves):
-            if slave_id in dead:
-                continue
-            experiment, tracker, injector = self._build_serial_slave(
-                slave_id, book, schemes
-            )
-            if resume is not None and book.work_log[slave_id]:
-                experiment.replay_chunks(
-                    book.work_log[slave_id],
-                    max_events=self.max_events_per_chunk,
-                )
-                baseline = _slave_report(experiment, slave_id, tracker)
-                self._check_replay(book, slave_id, baseline)
-            slaves[slave_id] = experiment
-            trackers[slave_id] = tracker
-            injectors[slave_id] = injector
-        rounds = resume.round if resume is not None else 0
-        reports: List[SlaveReport] = []
-        merged: Dict[str, Histogram] = (
-            self._restore_merged(resume)
-            if resume is not None
-            else self._merge_reports([], schemes)
-        )
-        # A checkpoint taken on the converged round resumes as a no-op.
-        converged = (
-            self._all_converged(merged, targets)
-            if resume is not None
-            else False
-        )
-        measure_started = time.monotonic()
-        deadline_stopped = False
-        while rounds < self.max_rounds and not converged:
-            if self._deadline_exceeded(measure_started, rounds):
-                deadline_stopped = True
-                break
-            rounds += 1
-            chunk = self._round_chunk(rounds)
-            self._trace_scheduled_faults(rounds)
-            reports = []
-            dead_this_round: List[int] = []
-            for slave_id in sorted(slaves):
-                quota = book.command_quota(slave_id, chunk)
-                injector = injectors[slave_id]
-                slave = slaves[slave_id]
-                try:
-                    injector.on_chunk_start(rounds)
-                    slave.run_until_accepted(
-                        quota, max_events=self.max_events_per_chunk
-                    )
-                    report = injector.filter_report(
-                        rounds, _slave_report(slave, slave_id,
-                                              trackers[slave_id])
-                    )
-                except InjectedFailure as failure:
-                    self._mark_dead(
-                        book, slave_id, rounds,
-                        f"{CAUSE_INJECTED}: {failure.spec.kind}", quota,
-                    )
-                    dead_this_round.append(slave_id)
-                    continue
-                problem = self._report_problem(report, slave_id, schemes)
-                if problem is not None:
-                    self._mark_dead(
-                        book, slave_id, rounds,
-                        f"{CAUSE_CORRUPT_PAYLOAD}: {problem}", quota,
-                    )
-                    dead_this_round.append(slave_id)
-                    continue
-                reports.append(report)
-                book.on_reported(slave_id, quota, report)
-                try:
-                    injector.after_send(rounds)
-                except InjectedFailure:  # pragma: no cover - defensive
-                    # Serial post_report kills are deferred by the
-                    # injector to the next round's on_chunk_start so
-                    # both backends detect the death in the same round.
-                    pass
-            for slave_id in dead_this_round:
-                slaves.pop(slave_id)
-                trackers.pop(slave_id)
-                injectors.pop(slave_id)
-                dead.append(slave_id)
-            self._trace_round(rounds, reports)
-            merged = self._merge_round(merged, reports, schemes, rounds)
-            converged = self._all_converged(merged, targets)
-            if self._progress is not None:
-                self._progress.parallel_update(rounds, merged, targets)
-            if not converged:
-                for slave_id in self._respawn_candidates(book, dead):
-                    book.respawn(slave_id)
-                    experiment, tracker, injector = self._build_serial_slave(
-                        slave_id, book, schemes
-                    )
-                    slaves[slave_id] = experiment
-                    trackers[slave_id] = tracker
-                    injectors[slave_id] = injector
-                    dead.remove(slave_id)
-                    self._trace_event(
-                        "respawn",
-                        slave=slave_id,
-                        round=rounds,
-                        generation=book.generation[slave_id],
-                        seed=book.seed[slave_id],
-                    )
-            self._enforce_fleet(len(slaves), rounds)
-            self._maybe_checkpoint(
-                book, schemes, targets, merged, rounds, dead
-            )
-        return self._result(
-            book, merged, targets, converged, rounds, reports, dead,
-            force_degraded=deadline_stopped,
-        )
-
     def _check_replay(self, book: _RunBook, slave_id: int, baseline) -> None:
         """Replayed slave state must land exactly on the checkpoint."""
         expected = (book.events[slave_id], book.accepted[slave_id])
@@ -1152,93 +1170,9 @@ class ParallelSimulation:
                 "deterministic in the seed"
             )
 
-    # -- process backend --------------------------------------------------------
+    # -- the round loop ---------------------------------------------------------
 
-    @staticmethod
-    def _shutdown_slaves(
-        processes,
-        pipes,
-        join_timeout: float = 30.0,
-        escalation_timeout: float = 5.0,
-        tracer=None,
-    ) -> List[tuple]:
-        """Stop slave processes, escalating join → terminate → kill.
-
-        Each slave first gets a cooperative ``"stop"`` and a
-        ``join_timeout`` to exit cleanly; a survivor is terminated
-        (SIGTERM) and, failing that too, killed (SIGKILL) — a hung or
-        signal-ignoring slave must never wedge the master's exit path.
-        Returns ``[(slave_id, action), ...]`` for every escalation
-        beyond the clean join (``"terminate"`` / ``"kill"``), which is
-        also what makes this testable with fake process objects.
-        """
-        for pipe in pipes:
-            try:
-                pipe.send("stop")
-                pipe.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        escalations: List[tuple] = []
-        for slave_id, process in enumerate(processes):
-            process.join(timeout=join_timeout)
-            if not process.is_alive():
-                continue
-            process.terminate()
-            process.join(timeout=escalation_timeout)
-            if process.is_alive():
-                # multiprocessing.Process.kill() exists since 3.7; fall
-                # back to terminate-again for exotic fakes without it.
-                kill = getattr(process, "kill", process.terminate)
-                kill()
-                process.join(timeout=escalation_timeout)
-                escalations.append((slave_id, "kill"))
-            else:
-                escalations.append((slave_id, "terminate"))
-            if tracer is not None:
-                tracer.event(
-                    "shutdown_escalation",
-                    component="master",
-                    slave=slave_id,
-                    action=escalations[-1][1],
-                )
-        return escalations
-
-    @staticmethod
-    def _reap(process, timeout: float = 5.0) -> None:
-        """Ensure one dead-or-condemned slave process is truly gone."""
-        process.join(timeout=0.0 if not process.is_alive() else timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=timeout)
-        if process.is_alive():  # pragma: no cover - stuck in kernel
-            kill = getattr(process, "kill", process.terminate)
-            kill()
-            process.join(timeout=timeout)
-
-    @staticmethod
-    def _recv_with_deadline(pipe, deadline: Optional[float]):
-        """``("ok", obj)`` | ``("timeout", None)`` | ``("eof", None)``.
-
-        Replaces the historical bare ``pipe.recv()``: a slave that
-        hangs *without* closing its pipe used to stall the master
-        forever; polling against the shared round deadline bounds the
-        wait, while a closed/reset pipe still surfaces immediately.
-        """
-        try:
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = max(0.0, deadline - time.monotonic())
-            if not pipe.poll(remaining):
-                return ("timeout", None)
-            return ("ok", pipe.recv())
-        except (
-            FrameError, EOFError, ConnectionResetError,
-            BrokenPipeError, OSError,
-        ):
-            return ("eof", None)
-
-    def _spawn_process_slave(
+    def _spawn_slave(
         self, transport: Transport, slave_id: int, book: _RunBook, schemes,
         replay=(), round_offset=0,
     ) -> WorkerEndpoint:
@@ -1261,8 +1195,11 @@ class ParallelSimulation:
             timeout=self.join_timeout,
         )
 
-    def _run_process(self, schemes, targets, resume=None) -> ParallelResult:
-        transport = self.transport or LocalPipeTransport("fork")
+    def _run_rounds(self, schemes, targets, resume=None) -> ParallelResult:
+        if self.backend == "serial":
+            transport = _InProcessTransport()
+        else:
+            transport = self.transport or LocalPipeTransport("fork")
         if self._tracer is not None:
             transport.attach_tracer(self._tracer)
         transport.start()
@@ -1274,19 +1211,19 @@ class ParallelSimulation:
         dead: List[int] = sorted(resume.dead) if resume is not None else []
         rounds = resume.round if resume is not None else 0
         slaves: Dict[int, WorkerEndpoint] = {}
-        resumed_replay: Dict[int, int] = {}
+        replayed: List[int] = []
         for slave_id in range(self.n_slaves):
             if slave_id in dead:
                 continue
             replay = (
                 book.work_log[slave_id] if resume is not None else ()
             )
-            slaves[slave_id] = self._spawn_process_slave(
+            slaves[slave_id] = self._spawn_slave(
                 transport, slave_id, book, schemes,
                 replay=replay, round_offset=rounds,
             )
             if replay:
-                resumed_replay[slave_id] = len(replay)
+                replayed.append(slave_id)
         reports: List[SlaveReport] = []
         merged: Dict[str, Histogram] = (
             self._restore_merged(resume)
@@ -1301,33 +1238,27 @@ class ParallelSimulation:
         )
         measure_started = time.monotonic()
         deadline_stopped = False
-
-        def drop_slave(slave_id: int) -> None:
-            """Forget a dead/condemned slave's endpoint and reap it."""
-            endpoint = slaves.pop(slave_id, None)
-            if endpoint is not None:
-                endpoint.close()
-                transport.reap(endpoint)
-
         try:
             # Resumed slaves replay their work logs and send a baseline
             # report; validate it lands exactly on the checkpoint state.
-            if resumed_replay:
+            if replayed:
                 deadline = None
                 if self.round_timeout is not None:
+                    longest = max(len(book.work_log[i]) for i in replayed)
                     deadline = time.monotonic() + self.round_timeout * max(
-                        1, max(resumed_replay.values())
+                        1, longest
                     )
-                for slave_id in sorted(resumed_replay):
-                    status, baseline = self._recv_with_deadline(
-                        slaves[slave_id], deadline
+                baselines, failed = _drain(
+                    transport, slaves, replayed, deadline
+                )
+                if failed:
+                    slave_id = min(failed)
+                    raise ParallelError(
+                        f"slave {slave_id} is gone: died during resume "
+                        f"replay ({failed[slave_id]})"
                     )
-                    if status != "ok":
-                        raise ParallelError(
-                            f"slave {slave_id} is gone: died during "
-                            f"resume replay ({status})"
-                        )
-                    self._check_replay(book, slave_id, baseline)
+                for slave_id in sorted(baselines):
+                    self._check_replay(book, slave_id, baselines[slave_id])
             while rounds < self.max_rounds and not converged:
                 if self._deadline_exceeded(measure_started, rounds):
                     deadline_stopped = True
@@ -1348,73 +1279,27 @@ class ParallelSimulation:
                             f"{CAUSE_SEND_FAILED}: {error}", quota,
                         )
                         dead_this_round.append(slave_id)
-                reports = []
                 deadline = (
                     time.monotonic() + self.round_timeout
                     if self.round_timeout is not None
                     else None
                 )
-                # Wait on every outstanding pipe at once: a single hung
-                # slave must not consume the other slaves' share of the
-                # round deadline (sequential recvs would poll the
-                # slaves after it with ~0 time left and falsely declare
-                # them dead).  Any report that arrives within the round
-                # window counts, whatever the arrival order.
-                pending: Dict[int, int] = dict(commanded)
-                received: Dict[int, object] = {}
-                while pending:
-                    remaining = (
-                        max(0.0, deadline - time.monotonic())
-                        if deadline is not None
-                        else None
+                # Any report that arrives within the round window
+                # counts, whatever the arrival order.
+                received, failed = _drain(
+                    transport, slaves, commanded, deadline
+                )
+                for slave_id in sorted(failed):
+                    self._mark_dead(
+                        book, slave_id, rounds, failed[slave_id],
+                        commanded[slave_id],
                     )
-                    ready = transport.wait(
-                        [slaves[slave_id] for slave_id in sorted(pending)],
-                        timeout=remaining,
-                    )
-                    if not ready:
-                        # Round deadline expired with reports missing:
-                        # everyone still pending is hung.
-                        for slave_id in sorted(pending):
-                            self._mark_dead(
-                                book, slave_id, rounds,
-                                CAUSE_HEARTBEAT_TIMEOUT, pending[slave_id],
-                            )
-                            dead_this_round.append(slave_id)
-                        break
-                    for endpoint in ready:
-                        # Dispatch by endpoint identity — no id()-keyed
-                        # connection map that a recycled allocation
-                        # could alias.  A stale readiness signal for a
-                        # slave dropped within this drain simply skips.
-                        slave_id = endpoint.worker_id
-                        if (
-                            slave_id not in pending
-                            or slaves.get(slave_id) is not endpoint
-                        ):
-                            continue
-                        quota = pending.pop(slave_id)
-                        try:
-                            received[slave_id] = endpoint.recv()
-                        except (
-                            FrameError, EOFError, ConnectionResetError,
-                            BrokenPipeError, OSError,
-                        ) as error:
-                            # A dead slave closes (EOFError) or resets
-                            # its pipe end; without this the master
-                            # would block forever after a partial round.
-                            # Liveness timeouts and corrupt frames keep
-                            # their own cause codes.
-                            self._mark_dead(
-                                book, slave_id, rounds,
-                                disconnect_cause(error, CAUSE_PIPE_CLOSED),
-                                quota,
-                            )
-                            dead_this_round.append(slave_id)
+                    dead_this_round.append(slave_id)
                 # Validate and merge in slave-id order regardless of
                 # arrival order: float accumulation is not associative,
                 # and merged digests must stay bit-identical run-to-run
                 # and backend-to-backend.
+                reports = []
                 for slave_id in sorted(received):
                     report = received[slave_id]
                     problem = self._report_problem(report, slave_id, schemes)
@@ -1428,8 +1313,11 @@ class ParallelSimulation:
                         continue
                     reports.append(report)
                     book.on_reported(slave_id, commanded[slave_id], report)
-                for slave_id in dead_this_round:
-                    drop_slave(slave_id)
+                for slave_id in sorted(dead_this_round):
+                    # Forget the dead/condemned slave's endpoint; reap it.
+                    endpoint = slaves.pop(slave_id)
+                    endpoint.close()
+                    transport.reap(endpoint)
                     dead.append(slave_id)
                 self._trace_round(rounds, reports)
                 merged = self._merge_round(merged, reports, schemes, rounds)
@@ -1448,12 +1336,13 @@ class ParallelSimulation:
                         if delay > 0.0:
                             # Round-synchronous barrier: all reports for
                             # this round are already merged, so the wait
-                            # delays the next round start uniformly; it
-                            # never stalls an individual slave's recv.
-                            time.sleep(delay)  # simlint: disable=blocking-sleep-in-transport
+                            # delays the next round start uniformly.  An
+                            # empty wait sleeps out its timeout on a real
+                            # transport and returns at once in-process.
+                            transport.wait([], timeout=delay)
                         book.respawn(slave_id)
                         try:
-                            slaves[slave_id] = self._spawn_process_slave(
+                            slaves[slave_id] = self._spawn_slave(
                                 transport, slave_id, book, schemes,
                                 round_offset=rounds,
                             )
@@ -1484,7 +1373,7 @@ class ParallelSimulation:
             transport.shutdown(
                 [slaves[i] for i in sorted(slaves)]
             )
-            if self.transport is None:
+            if transport is not self.transport:
                 transport.close()
         return self._result(
             book, merged, targets, converged, rounds, reports, dead,

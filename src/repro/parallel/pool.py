@@ -42,14 +42,13 @@ one worker incarnation (1-based).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.faults.injector import KILL_EXIT_STATUS
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (
     RespawnPolicy,
     SupervisionError,
@@ -96,19 +95,6 @@ class PoolJobError(PoolError):
 # -- worker-side fault execution ----------------------------------------------
 
 
-def _find_fault(
-    specs: Tuple[FaultSpec, ...], round_number: int, kind: str,
-    phase: Optional[str] = None,
-) -> Optional[FaultSpec]:
-    for spec in specs:
-        if spec.round != round_number or spec.kind != kind:
-            continue
-        if phase is not None and spec.phase != phase:
-            continue
-        return spec
-    return None
-
-
 def corrupt_result(payload: dict) -> dict:
     """Deterministically mangle a result payload.
 
@@ -125,6 +111,7 @@ def corrupt_result(payload: dict) -> dict:
 
 def _pool_worker_main(conn, worker_id, runner, faults=()):
     """One pool slave: configure → run → report, until told to stop."""
+    injector = FaultInjector(faults, corrupt=corrupt_result)
     rounds = 0
     while True:
         message = conn.recv()
@@ -139,12 +126,7 @@ def _pool_worker_main(conn, worker_id, runner, faults=()):
             raise PoolError(f"unknown pool command: {message!r}")
         _, job_id, job = message
         rounds += 1
-        if _find_fault(faults, rounds, "kill", phase="pre_run") is not None:
-            os._exit(KILL_EXIT_STATUS)
-        hang = _find_fault(faults, rounds, "hang")
-        if hang is not None:
-            # Worker-side injected hang: blocking is the fault itself.
-            time.sleep(hang.delay)  # simlint: disable=blocking-sleep-in-transport
+        injector.on_chunk_start(rounds)
         try:
             payload = runner(job)
         except Exception as error:  # simlint: disable=swallow-exception
@@ -152,15 +134,11 @@ def _pool_worker_main(conn, worker_id, runner, faults=()):
             # master, which raises PoolJobError with this context.
             conn.send(("error", job_id, f"{type(error).__name__}: {error}"))
             continue
-        if _find_fault(faults, rounds, "kill", phase="pre_report") is not None:
-            os._exit(KILL_EXIT_STATUS)
-        if _find_fault(faults, rounds, "drop_report") is not None:
-            continue  # silent: the master's deadline must catch it
-        if _find_fault(faults, rounds, "corrupt_payload") is not None:
-            payload = corrupt_result(payload)
+        payload = injector.filter_report(rounds, payload)
+        if payload is None:
+            continue  # dropped: the master's deadline must catch it
         conn.send(("result", job_id, payload))
-        if _find_fault(faults, rounds, "kill", phase="post_report") is not None:
-            os._exit(KILL_EXIT_STATUS)
+        injector.after_send(rounds)
 
 
 # -- master side --------------------------------------------------------------

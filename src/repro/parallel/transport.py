@@ -86,6 +86,18 @@ class FrameError(TransportError):
         self.worker_id = worker_id
 
 
+class WorkerDeath(EOFError):
+    """A worker died with a known cause (in-process workers).
+
+    Subclasses ``EOFError`` so the pipe-death handlers treat it as a
+    worker death; :func:`disconnect_cause` reports its ``cause`` code.
+    """
+
+    def __init__(self, message: str, cause: str):
+        super().__init__(message)
+        self.cause = cause
+
+
 class LivenessError(EOFError):
     """A connection was declared dead by heartbeat monitoring.
 
@@ -269,6 +281,8 @@ def disconnect_cause(error: BaseException, fallback: str) -> str:
     while ordinary pipe deaths keep the caller's historical fallback
     (``pipe closed`` / ``worker left``).
     """
+    if isinstance(error, WorkerDeath):
+        return error.cause
     if isinstance(error, LivenessError):
         return CAUSE_LIVENESS_TIMEOUT
     if isinstance(error, FrameError):
@@ -581,20 +595,75 @@ class LocalPipeTransport(Transport):
         return 1
 
     def reap(self, endpoint) -> None:
-        from repro.parallel.master import ParallelSimulation
-
-        ParallelSimulation._reap(endpoint.process)
+        reap_process(endpoint.process)
 
     def shutdown(self, endpoints) -> None:
-        # Reuse the master's join -> terminate -> kill escalation: a
-        # wedged worker must not hang the exit path.
-        from repro.parallel.master import ParallelSimulation
-
-        ParallelSimulation._shutdown_slaves(
+        shutdown_processes(
             [endpoint.process for endpoint in endpoints],
             [endpoint.conn for endpoint in endpoints],
             tracer=self._tracer,
         )
+
+
+def shutdown_processes(
+    processes,
+    pipes,
+    join_timeout: float = 30.0,
+    escalation_timeout: float = 5.0,
+    tracer=None,
+) -> List[tuple]:
+    """Stop worker processes, escalating join → terminate → kill.
+
+    Each worker first gets a cooperative ``"stop"`` and a
+    ``join_timeout`` to exit cleanly; a survivor is terminated
+    (SIGTERM) and, failing that too, killed (SIGKILL) — a hung or
+    signal-ignoring worker must never wedge the caller's exit path.
+    Returns ``[(worker_index, action), ...]`` for every escalation
+    beyond the clean join (``"terminate"`` / ``"kill"``), which is also
+    what makes this testable with fake process objects.
+    """
+    for pipe in pipes:
+        try:
+            pipe.send("stop")
+            pipe.close()
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            pass
+    escalations: List[tuple] = []
+    for index, process in enumerate(processes):
+        process.join(timeout=join_timeout)
+        if not process.is_alive():
+            continue
+        process.terminate()
+        process.join(timeout=escalation_timeout)
+        if process.is_alive():
+            # multiprocessing.Process.kill() exists since 3.7; fall
+            # back to terminate-again for exotic fakes without it.
+            kill = getattr(process, "kill", process.terminate)
+            kill()
+            process.join(timeout=escalation_timeout)
+            escalations.append((index, "kill"))
+        else:
+            escalations.append((index, "terminate"))
+        if tracer is not None:
+            tracer.event(
+                "shutdown_escalation",
+                component="master",
+                slave=index,
+                action=escalations[-1][1],
+            )
+    return escalations
+
+
+def reap_process(process, timeout: float = 5.0) -> None:
+    """Ensure one dead-or-condemned worker process is truly gone."""
+    process.join(timeout=0.0 if not process.is_alive() else timeout)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=timeout)
+    if process.is_alive():  # pragma: no cover - stuck in kernel
+        kill = getattr(process, "kill", process.terminate)
+        kill()
+        process.join(timeout=timeout)
 
 
 # -- remote (asyncio TCP) transport -------------------------------------------

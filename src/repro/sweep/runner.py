@@ -8,9 +8,7 @@ The runner turns a :class:`~repro.sweep.spec.SweepSpec` into results:
    editing one point recomputes only that point;
 2. cache misses are scheduled across a
    :class:`~repro.parallel.pool.WorkerPool` of persistent slaves
-   (``backend="pool"``), a fresh process per point
-   (``backend="spawn"`` — the historical per-point loop, kept as the
-   benchmark baseline), or in-process (``backend="serial"``);
+   (``backend="pool"``) or run in-process (``backend="serial"``);
 3. completed payloads are verified against the point digest, written
    back to the cache, and assembled into a :class:`SweepResult` in
    canonical point order — scheduling order can never leak into
@@ -43,7 +41,7 @@ from repro.sweep.spec import (
 )
 
 #: Execution backends, cheapest-isolation first.
-BACKENDS = ("serial", "spawn", "pool", "remote")
+BACKENDS = ("serial", "pool", "remote")
 
 
 # -- the unit of work ---------------------------------------------------------
@@ -52,12 +50,12 @@ BACKENDS = ("serial", "spawn", "pool", "remote")
 def run_point(job: dict) -> dict:
     """Execute one point job payload; returns its JSON-safe result.
 
-    This is the single code path every backend runs — in-process, in a
-    fresh spawned process, or inside a persistent pool worker — so the
-    backends cannot diverge on *what* a point computes.  Experiment
-    kinds run to convergence and report the full estimate document plus
-    per-metric histogram digests (the determinism fingerprint); task
-    kinds return their payload under ``"task"``.
+    This is the single code path every backend runs — in-process or
+    inside a persistent pool worker — so the backends cannot diverge on
+    *what* a point computes.  Experiment kinds run to convergence and
+    report the full estimate document plus per-metric histogram digests
+    (the determinism fingerprint); task kinds return their payload
+    under ``"task"``.
     """
     kind = job["kind"]
     seed = job["seed"]
@@ -260,8 +258,7 @@ class SweepRunner:
     spec:
         The :class:`SweepSpec` to execute.
     backend:
-        ``"pool"`` (persistent workers, default), ``"spawn"`` (fresh
-        process per point — the historical loop), ``"serial"``
+        ``"pool"`` (persistent workers, default), ``"serial"``
         (in-process), or ``"remote"`` (persistent workers hosted by
         :mod:`repro.parallel.agent` processes over a
         :class:`~repro.parallel.transport.RemoteTransport`; requires
@@ -270,7 +267,7 @@ class SweepRunner:
     jobs:
         Pool width for the ``pool`` backend (default: up to 4, bounded
         by the machine) and the cap on concurrently bound workers for
-        ``remote`` (default 16); ignored by the sequential backends.
+        ``remote`` (default 16); ignored by the serial backend.
     cache:
         A :class:`SweepCache`, a directory path, or ``None`` to disable
         caching.
@@ -379,52 +376,6 @@ class SweepRunner:
             results[digest] = run_point(job)
         return results
 
-    def _compute_spawn(self, jobs: List[tuple]) -> Dict[str, dict]:
-        """The historical per-point loop: one fresh process per point."""
-        import multiprocessing
-
-        from repro.parallel.master import ParallelSimulation
-        from repro.parallel.pool import PoolError, _pool_worker_main
-
-        context = multiprocessing.get_context("fork")
-        results = {}
-        for digest, job in jobs:
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_pool_worker_main,
-                args=(child_conn, 0, run_point),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            try:
-                parent_conn.send(("configure", digest, job))
-                status, message = ParallelSimulation._recv_with_deadline(
-                    parent_conn,
-                    None
-                    if self.job_timeout is None
-                    else time.monotonic() + self.job_timeout,
-                )
-            finally:
-                try:
-                    parent_conn.send("stop")
-                    parent_conn.close()
-                except (BrokenPipeError, OSError):
-                    pass
-                ParallelSimulation._reap(process)
-            if status != "ok":
-                raise PoolError(
-                    f"spawned point {job.get('params')} died ({status})"
-                )
-            tag = message[0] if isinstance(message, tuple) else None
-            if tag == "error":
-                raise PoolError(f"point {message[1]!r} failed: {message[2]}")
-            problem = payload_problem(job, message[2])
-            if problem is not None:
-                raise PoolError(f"point {digest} rejected: {problem}")
-            results[digest] = message[2]
-        return results
-
     def _compute_pool(self, jobs: List[tuple]):
         """Persistent-worker backends: local ``pool`` and ``remote``.
 
@@ -517,8 +468,6 @@ class SweepRunner:
             computed = {}
         elif self.backend == "serial":
             computed = self._compute_serial(jobs)
-        elif self.backend == "spawn":
-            computed = self._compute_spawn(jobs)
         else:
             computed, pool_stats = self._compute_pool(jobs)
         if self.cache is not None:

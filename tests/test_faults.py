@@ -165,10 +165,10 @@ class TestFaultInjector:
         spec = self._spec(kind="hang", delay=12.5)
         FaultInjector((spec,), sleeper=naps.append).on_chunk_start(2)
         assert naps == [12.5]
-        FaultInjector(
+        assert FaultInjector(
             (spec,), raise_instead=True, sleeper=naps.append
-        ).on_chunk_start(2)
-        assert naps == [12.5]  # serial mode ignores hang
+        ).on_chunk_start(2) == 12.5
+        assert naps == [12.5]  # in-process mode returns the hang unslept
 
     def test_drop_report_returns_none(self):
         injector = FaultInjector((self._spec(kind="drop_report"),))
@@ -449,6 +449,21 @@ class TestRecovery:
         assert result.degraded
         assert result.dead_slaves == [2]
         assert result.failure_causes[2] == "heartbeat timeout"
+
+    def test_serial_hang_matches_process_heartbeat_timeout(self):
+        # The serial backend has no pipe to go silent on; its in-process
+        # slave withholds the report for the round the hang outlasts,
+        # so both backends lose the same slave in the same round.
+        plan = FaultPlan.single("hang", slave_id=2, round=1, delay=60.0)
+        common = dict(fault_plan=plan, round_timeout=3.0)
+        serial = ParallelSimulation(factory, **{**KW, **common}).run()
+        process = ParallelSimulation(
+            factory, **{**KW, **common, "backend": "process"}
+        ).run()
+        assert serial.failure_causes == {2: "heartbeat timeout"}
+        assert serial.failure_causes == process.failure_causes
+        assert serial.merged_digests == process.merged_digests
+        assert serial.rounds == process.rounds
 
     def test_hung_slave_does_not_starve_survivors(self):
         # The master waits on all outstanding pipes concurrently: slave

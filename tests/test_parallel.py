@@ -1,5 +1,8 @@
 """Tests for the master/slave parallel simulation (Fig. 3)."""
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.parallel import (
 )
 from repro.parallel.master import build_slave_experiment, slave_seed
 from repro.parallel.protocol import scheme_from_payload, scheme_payload
+from repro.parallel.transport import shutdown_processes
 
 
 def crashing_factory(seed, master_seed=3):
@@ -226,6 +230,18 @@ class TestSerialBackend:
 
         assert run() == run()
 
+    def test_starts_no_thread_or_process(self):
+        # Compare against what already runs: earlier tests may leave
+        # daemon workers that are still exiting.
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        result = ParallelSimulation(
+            factory, n_slaves=2, master_seed=5, backend="serial"
+        ).run()
+        assert result.converged
+        assert set(threading.enumerate()) <= threads
+        assert set(multiprocessing.active_children()) <= children
+
     def test_delta_reports_match_full_reports(self):
         """A/B: the incremental delta protocol and full-state re-merge
         must walk the identical round schedule and agree on estimates."""
@@ -401,7 +417,7 @@ class TestShutdownEscalation:
     def shutdown(self, processes, pipes=None, **kwargs):
         if pipes is None:
             pipes = [FakePipe() for _ in processes]
-        return ParallelSimulation._shutdown_slaves(
+        return shutdown_processes(
             processes, pipes, join_timeout=0.01, escalation_timeout=0.01,
             **kwargs,
         )

@@ -185,14 +185,6 @@ class TestSweepRunner:
         ]
         assert pooled.pool_stats.jobs_completed == 3
 
-    def test_spawn_backend_matches_serial(self):
-        spec = task_spec()
-        serial = SweepRunner(spec, backend="serial").run()
-        spawned = SweepRunner(spec, backend="spawn").run()
-        assert [point.payload["task"] for point in spawned.points] == [
-            point.payload["task"] for point in serial.points
-        ]
-
     def test_deterministic_job_error_surfaces_immediately(self):
         spec = task_spec(factory="tests.sweep_factories:failing_task")
         with pytest.raises(PoolJobError, match="boom"):

@@ -75,7 +75,7 @@ def reference(tmp_path_factory):
 
 @pytest.mark.parametrize("cache_state", ["fresh", "cache-hit", "resume"])
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "direct"])
-@pytest.mark.parametrize("backend", ["serial", "spawn", "pool"])
+@pytest.mark.parametrize("backend", ["serial", "pool"])
 def test_matrix_cell_matches_reference(
     backend, prefetch, cache_state, reference, tmp_path
 ):
@@ -175,7 +175,7 @@ def model_reference(model, tmp_path_factory):
 
 
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "direct"])
-@pytest.mark.parametrize("backend", ["serial", "spawn", "pool"])
+@pytest.mark.parametrize("backend", ["serial", "pool"])
 def test_model_cell_matches_reference(
     backend, prefetch, model, model_reference, tmp_path
 ):
