@@ -119,7 +119,8 @@ class Statistic:
         Upper bound on the lag search during calibration.
     fixed_scheme:
         Pre-determined histogram bin scheme.  Used by parallel slaves,
-        whose calibration determines only their own lag (Fig. 3).
+        whose calibration determines only their own lag (Fig. 3); such
+        a statistic never runs a convergence check of its own.
     min_accepted:
         Floor on the accepted sample size before convergence may be
         declared, guarding the large-sample approximations.
@@ -460,7 +461,15 @@ class Statistic:
         self.histogram = Histogram(scheme)
         self._calibration = []
         self._since_accept = 0
-        self._next_check = max(self.min_accepted, self.convergence_check_interval)
+        # A slave under an imposed scheme never checks (or declares)
+        # convergence on its own small sample: it would stop accepting
+        # observations while the master, which alone judges the merged
+        # histograms (Fig. 3 step 4), keeps asking for more.
+        self._next_check = (
+            math.inf
+            if self.fixed_scheme is not None
+            else max(self.min_accepted, self.convergence_check_interval)
+        )
         self.phase = Phase.MEASUREMENT
         if self._tracer is not None:
             self._tracer.event(

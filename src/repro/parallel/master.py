@@ -28,17 +28,21 @@ master steps synchronously inside ``send``, with no thread or process;
 behind a pipe loop; ``remote`` binds slots on agent hosts.
 
 **Fault tolerance** (see docs/robustness.md).  The master treats slave
-death as an input, not an exception: every recv carries a per-round
-deadline (a hung slave can no longer stall a round), every death gets a
-machine-readable cause code, and — with a
-:class:`~repro.faults.recovery.RespawnPolicy` — a replacement slave is
-spawned under a fresh generation-aware seed and *re-accumulates* the
-dead slave's unreported quota, so a recovered run converges
-``degraded=False``.  Deaths never erase merged history: everything a
-slave reported in earlier rounds stays valid.  Periodic checkpoints
-(:mod:`repro.faults.checkpoint`) record the merged state plus each
-slave's work log; ``run(resume_from=...)`` rebuilds slaves by replaying
-those logs, bit-for-bit.  A seeded
+death as an input, not an exception.  Its slaves are a
+:class:`~repro.parallel.fleet.Fleet`, the supervisor it shares with
+the sweep pool: every recv carries a per-round deadline (a hung slave
+can no longer stall a round), every death gets a machine-readable
+cause code, and — with a :class:`~repro.faults.recovery.RespawnPolicy`
+— each death the budget allows gets a respawn due time.  After the
+round is merged the master waits once for the latest due time (the
+round barrier, so concurrent backoffs overlap) and spawns every
+replacement under a fresh generation-aware seed; a replacement
+*re-accumulates* the dead slave's unreported quota, so a recovered run
+converges ``degraded=False``.  Deaths never erase merged history:
+everything a slave reported in earlier rounds stays valid.  Periodic
+checkpoints (:mod:`repro.faults.checkpoint`) record the merged state
+plus each slave's work log; ``run(resume_from=...)`` rebuilds slaves
+by replaying those logs, bit-for-bit.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
 for chaos testing on every backend.
 
@@ -74,13 +78,11 @@ from repro.faults.recovery import (
     SupervisionPolicy,
     derive_seed,
 )
+from repro.parallel.fleet import Fleet
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
-    CAUSE_DEADLINE_EXCEEDED,
     CAUSE_FLEET_EXHAUSTED,
-    CAUSE_HEARTBEAT_TIMEOUT,
     CAUSE_INJECTED,
-    CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
     DeltaTracker,
     MetricTargets,
@@ -92,13 +94,10 @@ from repro.parallel.protocol import (
     validate_report_payload,
 )
 from repro.parallel.transport import (
-    FrameError,
     LocalPipeTransport,
     Transport,
-    TransportCapacityError,
     WorkerDeath,
     WorkerEndpoint,
-    disconnect_cause,
 )
 
 
@@ -308,59 +307,6 @@ class _InProcessTransport(Transport):
         pass
 
 
-def _drain(
-    transport: Transport,
-    slaves: Dict[int, WorkerEndpoint],
-    pending,
-    deadline: Optional[float],
-):
-    """One message from each ``pending`` slave id before ``deadline``.
-
-    Waits on every outstanding endpoint at once: a single hung slave
-    must not consume the other slaves' share of the deadline
-    (sequential recvs would poll the slaves after it with ~0 time left
-    and falsely declare them dead).  Returns ``(received, failed)``:
-    slave id -> message, and slave id -> death cause code.
-    """
-    pending = set(pending)
-    received: Dict[int, object] = {}
-    failed: Dict[int, str] = {}
-    while pending:
-        remaining = (
-            max(0.0, deadline - time.monotonic())
-            if deadline is not None
-            else None
-        )
-        ready = transport.wait(
-            [slaves[slave_id] for slave_id in sorted(pending)],
-            timeout=remaining,
-        )
-        if not ready:
-            # Deadline expired with messages missing: everyone still
-            # pending is hung.
-            for slave_id in pending:
-                failed[slave_id] = CAUSE_HEARTBEAT_TIMEOUT
-            break
-        for endpoint in ready:
-            # Dispatch by endpoint identity — no id()-keyed connection
-            # map that a recycled allocation could alias.
-            slave_id = endpoint.worker_id
-            if slave_id not in pending or slaves.get(slave_id) is not endpoint:
-                continue
-            pending.discard(slave_id)
-            try:
-                received[slave_id] = endpoint.recv()
-            except (
-                FrameError, EOFError, ConnectionResetError,
-                BrokenPipeError, OSError,
-            ) as error:
-                # A dead slave closes (EOFError) or resets its pipe end;
-                # liveness timeouts, corrupt frames and in-process deaths
-                # keep their own cause codes.
-                failed[slave_id] = disconnect_cause(error, CAUSE_PIPE_CLOSED)
-    return received, failed
-
-
 @dataclass
 class ParallelResult:
     """Outcome of a distributed simulation."""
@@ -414,40 +360,25 @@ class ParallelResult:
 class _RunBook:
     """Recovery bookkeeping for the round loop.
 
-    Tracks, per slave id: the current incarnation's seed and
-    generation, its work log (chunk quotas completed *and merged*), the
-    quota it was commanded but never reported (owed to a replacement),
-    cumulative event/accepted accounting across incarnations, respawn
-    counts, and — for slaves currently or permanently dead — the cause
-    code.  One instance is the single source of truth the checkpoint
-    writer serializes and the resume path restores.
+    Tracks, per slave id: the seed lineage, its work log (chunk quotas
+    completed *and merged*), the quota it was commanded but never
+    reported (owed to a replacement), and cumulative event/accepted
+    accounting across incarnations.  Generations, restart counts and
+    death causes are the :class:`~repro.parallel.fleet.Fleet`'s; the
+    checkpoint writer serializes both and the resume path restores
+    both.
     """
 
     def __init__(self, n_slaves: int, master_seed: int):
         self.lineage = SeedLineage(master_seed)
-        self.generation: Dict[int, int] = {}
-        self.seed: Dict[int, int] = {}
-        self.work_log: Dict[int, List[int]] = {}
-        self.owed: Dict[int, int] = {}
-        self.causes: Dict[int, str] = {}
-        self.restarts: Dict[int, int] = {}
-        self.total_restarts = 0
+        self.work_log: Dict[int, List[int]] = {i: [] for i in range(n_slaves)}
+        self.owed = dict.fromkeys(range(n_slaves), 0)
         #: Current-incarnation progress (absolute counters from reports).
-        self.events: Dict[int, int] = {}
-        self.accepted: Dict[int, int] = {}
+        self.events = dict.fromkeys(range(n_slaves), 0)
+        self.accepted = dict.fromkeys(range(n_slaves), 0)
         #: Accounting inherited from dead predecessor incarnations.
-        self.prior_events: Dict[int, int] = {}
-        self.prior_accepted: Dict[int, int] = {}
-        for slave_id in range(n_slaves):
-            self.generation[slave_id] = 0
-            self.seed[slave_id] = self.lineage.issue(slave_id, 0)
-            self.work_log[slave_id] = []
-            self.owed[slave_id] = 0
-            self.restarts[slave_id] = 0
-            self.events[slave_id] = 0
-            self.accepted[slave_id] = 0
-            self.prior_events[slave_id] = 0
-            self.prior_accepted[slave_id] = 0
+        self.prior_events = dict.fromkeys(range(n_slaves), 0)
+        self.prior_accepted = dict.fromkeys(range(n_slaves), 0)
 
     @classmethod
     def from_checkpoint(cls, state: CheckpointState) -> "_RunBook":
@@ -459,17 +390,12 @@ class _RunBook:
                 book.lineage.issue(slave_id, generation)
         for slave in state.slaves:
             i = slave.slave_id
-            book.generation[i] = slave.generation
-            book.seed[i] = book.lineage.issue(i, slave.generation)
             book.work_log[i] = list(slave.chunks)
             book.owed[i] = slave.owed
-            book.restarts[i] = slave.restarts
             book.events[i] = slave.events_processed
             book.accepted[i] = slave.total_accepted
             book.prior_events[i] = slave.prior_events
             book.prior_accepted[i] = slave.prior_accepted
-        book.causes = dict(state.dead)
-        book.total_restarts = state.total_restarts
         return book
 
     # -- per-round transitions ----------------------------------------------
@@ -485,26 +411,13 @@ class _RunBook:
         self.events[slave_id] = report.events_processed
         self.accepted[slave_id] = report.total_accepted
 
-    def on_death(self, slave_id: int, cause: str, lost_quota: int) -> None:
-        """Record a death; ``lost_quota`` is owed to the replacement."""
-        self.causes[slave_id] = cause
-        if lost_quota:
-            self.owed[slave_id] = lost_quota
-
-    def respawn(self, slave_id: int) -> int:
-        """Advance to the next generation; returns the fresh seed."""
+    def retire(self, slave_id: int) -> None:
+        """A replacement is about to spawn: start its books afresh."""
         self.prior_events[slave_id] += self.events[slave_id]
         self.prior_accepted[slave_id] += self.accepted[slave_id]
         self.events[slave_id] = 0
         self.accepted[slave_id] = 0
-        self.generation[slave_id] += 1
-        self.restarts[slave_id] += 1
-        self.total_restarts += 1
         self.work_log[slave_id] = []
-        self.causes.pop(slave_id, None)
-        seed = self.lineage.issue(slave_id, self.generation[slave_id])
-        self.seed[slave_id] = seed
-        return seed
 
     # -- result accounting ---------------------------------------------------
 
@@ -852,115 +765,16 @@ class ParallelSimulation:
                 return f"{name}: {problem}"
         return None
 
-    def _slave_faults(self, slave_id: int, generation: int) -> tuple:
-        """The picklable fault sub-plan for one incarnation."""
-        if self.fault_plan is None:
-            return ()
-        return self.fault_plan.for_slave(slave_id, generation)
-
-    def _mark_dead(
-        self,
-        book: _RunBook,
-        slave_id: int,
-        round_number: int,
-        cause: str,
-        lost_quota: int,
-    ) -> None:
-        book.on_death(slave_id, cause, lost_quota)
-        self._trace_event(
-            "dead",
-            component="slave",
-            slave=slave_id,
-            round=round_number,
-            cause=cause,
-            generation=book.generation[slave_id],
-        )
-
-    def _respawn_candidates(self, book: _RunBook, dead: List[int]) -> List[int]:
-        """Dead slaves the policy will replace this round (budget check)."""
-        if self.respawn is None:
-            return []
-        chosen = []
-        total = book.total_restarts
-        for slave_id in sorted(dead):
-            if self.respawn.allows(book.restarts[slave_id], total):
-                chosen.append(slave_id)
-                total += 1
-        return chosen
-
-    # -- supervision --------------------------------------------------------------
-
-    def _enforce_fleet(self, survivors: int, rounds: int) -> None:
-        """Abort (typed) when the fleet fell below what the run needs.
-
-        Called after each round's deaths and respawns have settled.
-        Without a supervision policy this keeps the historical contract:
-        zero survivors is fatal, anything else continues.
-        """
-        policy = self.supervision
-        if survivors == 0:
-            if policy is not None:
-                raise SupervisionError(
-                    f"every slave has died ({self.n_slaves} started, "
-                    f"last loss in round {rounds}); no survivors to "
-                    "finish the run",
-                    cause=CAUSE_FLEET_EXHAUSTED,
-                )
-            raise ParallelError(
-                f"every slave has died ({self.n_slaves} started, "
-                f"last loss in round {rounds}); no survivors to "
-                "finish the run"
-            )
-        if policy is None or policy.fleet_ok(survivors):
-            return
-        if policy.on_exhausted == "abort":
-            raise SupervisionError(
-                f"fleet fell to {survivors} live slave(s) in round "
-                f"{rounds}, below min_workers={policy.min_workers}",
-                cause=CAUSE_FLEET_EXHAUSTED,
-            )
-        self._trace_event(
-            "fleet_below_minimum", survivors=survivors, round=rounds,
-            min_workers=policy.min_workers,
-        )
-
-    def _deadline_exceeded(self, measure_started: float, rounds: int) -> bool:
-        """Whether the supervision deadline has passed (and abort if so).
-
-        Returns True to tell the caller to stop cleanly (``"continue"``:
-        finish with the merged-so-far state flagged degraded); raises
-        :class:`SupervisionError` under ``"abort"``.  The clock starts
-        at the measurement phase, so calibration cost never eats the
-        budget.
-        """
-        policy = self.supervision
-        if policy is None or policy.deadline is None:
-            return False
-        elapsed = time.monotonic() - measure_started
-        if elapsed <= policy.deadline:
-            return False
-        if policy.on_exhausted == "abort":
-            raise SupervisionError(
-                f"run exceeded its deadline ({elapsed:.1f}s > "
-                f"{policy.deadline:.1f}s) after {rounds} round(s)",
-                cause=CAUSE_DEADLINE_EXCEEDED,
-            )
-        self._trace_event(
-            "deadline_stop", round=rounds, elapsed=elapsed,
-            deadline=policy.deadline,
-        )
-        return True
-
     # -- checkpointing -----------------------------------------------------------
 
     def _checkpoint_state(
         self,
         book: _RunBook,
+        fleet: Fleet,
         schemes: Dict[str, tuple],
         targets: Dict[str, MetricTargets],
         merged: Dict[str, Histogram],
         round_number: int,
-        dead: List[int],
     ) -> CheckpointState:
         # Every slave gets a record, dead ones included: a dead slave's
         # generation, restart count, owed quota, and accounting must
@@ -972,13 +786,15 @@ class ParallelSimulation:
         slaves = [
             SlaveCheckpoint(
                 slave_id=slave_id,
-                seed=book.seed[slave_id],
-                generation=book.generation[slave_id],
+                seed=slave_seed(
+                    self.master_seed, slave_id, fleet.generation[slave_id]
+                ),
+                generation=fleet.generation[slave_id],
                 chunks=list(book.work_log[slave_id]),
                 owed=book.owed.get(slave_id, 0),
                 events_processed=book.events[slave_id],
                 total_accepted=book.accepted[slave_id],
-                restarts=book.restarts[slave_id],
+                restarts=fleet.restarts.get(slave_id, 0),
                 prior_events=book.prior_events[slave_id],
                 prior_accepted=book.prior_accepted[slave_id],
             )
@@ -1010,13 +826,13 @@ class ParallelSimulation:
                 for name, histogram in merged.items()
             },
             slaves=slaves,
-            dead={slave_id: book.causes[slave_id] for slave_id in dead},
+            dead=dict(fleet.causes),
             lineage=book.lineage.issued(),
-            total_restarts=book.total_restarts,
+            total_restarts=fleet.total_restarts,
         )
 
     def _maybe_checkpoint(
-        self, book, schemes, targets, merged, round_number, dead
+        self, book, fleet, schemes, targets, merged, round_number
     ) -> None:
         if self.checkpoint_path is None:
             return
@@ -1025,7 +841,7 @@ class ParallelSimulation:
         write_checkpoint(
             self.checkpoint_path,
             self._checkpoint_state(
-                book, schemes, targets, merged, round_number, dead
+                book, fleet, schemes, targets, merged, round_number
             ),
         )
         self._trace_event("checkpoint", round=round_number)
@@ -1111,14 +927,15 @@ class ParallelSimulation:
     def _result(
         self,
         book: _RunBook,
+        fleet: Fleet,
         merged: Dict[str, Histogram],
         targets: Dict[str, MetricTargets],
         converged: bool,
         rounds: int,
         reports: List[SlaveReport],
-        dead: List[int],
         force_degraded: bool = False,
     ) -> ParallelResult:
+        dead = sorted(fleet.causes)
         if self.supervision is not None:
             degraded = force_degraded or self.supervision.is_degraded(
                 self.n_slaves - len(dead), len(dead)
@@ -1147,11 +964,9 @@ class ParallelSimulation:
                 else None
             ),
             degraded=degraded,
-            dead_slaves=sorted(dead),
-            failure_causes={
-                slave_id: book.causes[slave_id] for slave_id in sorted(dead)
-            },
-            restarts=book.total_restarts,
+            dead_slaves=dead,
+            failure_causes=dict(sorted(fleet.causes.items())),
+            restarts=fleet.total_restarts,
             merged_digests={
                 name: payload_digest(histogram.to_payload())
                 for name, histogram in merged.items()
@@ -1172,29 +987,6 @@ class ParallelSimulation:
 
     # -- the round loop ---------------------------------------------------------
 
-    def _spawn_slave(
-        self, transport: Transport, slave_id: int, book: _RunBook, schemes,
-        replay=(), round_offset=0,
-    ) -> WorkerEndpoint:
-        return transport.spawn(
-            slave_id,
-            book.generation[slave_id],
-            _process_slave_main,
-            (
-                self.factory,
-                self.factory_kwargs,
-                book.seed[slave_id],
-                schemes,
-                self.max_events_per_chunk,
-                slave_id,
-                self.delta_reports,
-                self._slave_faults(slave_id, book.generation[slave_id]),
-                tuple(replay),
-                round_offset,
-            ),
-            timeout=self.join_timeout,
-        )
-
     def _run_rounds(self, schemes, targets, resume=None) -> ParallelResult:
         if self.backend == "serial":
             transport = _InProcessTransport()
@@ -1208,23 +1000,57 @@ class ParallelSimulation:
             if resume is not None
             else _RunBook(self.n_slaves, self.master_seed)
         )
-        dead: List[int] = sorted(resume.dead) if resume is not None else []
         rounds = resume.round if resume is not None else 0
-        slaves: Dict[int, WorkerEndpoint] = {}
-        replayed: List[int] = []
-        for slave_id in range(self.n_slaves):
-            if slave_id in dead:
-                continue
-            replay = (
-                book.work_log[slave_id] if resume is not None else ()
+
+        def slave_args(slave_id, generation, faults):
+            # Fault specs address master rounds: the session numbers
+            # its chunks from the round it starts in.
+            return (
+                self.factory,
+                self.factory_kwargs,
+                book.lineage.issue(slave_id, generation),
+                schemes,
+                self.max_events_per_chunk,
+                slave_id,
+                self.delta_reports,
+                faults,
+                tuple(book.work_log[slave_id]),
+                rounds,
             )
-            slaves[slave_id] = self._spawn_slave(
-                transport, slave_id, book, schemes,
-                replay=replay, round_offset=rounds,
+
+        def trace(name, worker=None, **fields):
+            # Master records name the slave and the round; spawns are
+            # the transport's to trace.
+            if name == "spawn":
+                return
+            if worker is not None:
+                fields = {"slave": worker, **fields}
+                if name == "respawn":
+                    fields["seed"] = slave_seed(
+                        self.master_seed, worker, fields["generation"]
+                    )
+            self._trace_event(
+                name, component="slave" if name == "dead" else "master",
+                round=rounds, **fields,
             )
-            if replay:
-                replayed.append(slave_id)
-        reports: List[SlaveReport] = []
+
+        fleet = Fleet(
+            transport,
+            _process_slave_main,
+            slave_args,
+            master_seed=self.master_seed,
+            respawn=self.respawn,
+            supervision=self.supervision,
+            fault_plan=self.fault_plan,
+            spawn_timeout=self.join_timeout,
+            trace=trace if self._tracer is not None else None,
+        )
+        if resume is not None:
+            for slave in resume.slaves:
+                fleet.generation[slave.slave_id] = slave.generation
+                fleet.restarts[slave.slave_id] = slave.restarts
+            fleet.total_restarts = resume.total_restarts
+            fleet.causes.update(sorted(resume.dead.items()))
         merged: Dict[str, Histogram] = (
             self._restore_merged(resume)
             if resume is not None
@@ -1236,11 +1062,18 @@ class ParallelSimulation:
             if resume is not None
             else False
         )
-        measure_started = time.monotonic()
+        reports: List[SlaveReport] = []
         deadline_stopped = False
         try:
+            fleet.start(
+                slave_id
+                for slave_id in range(self.n_slaves)
+                if slave_id not in fleet.causes
+            )
+            fleet.start_clock()
             # Resumed slaves replay their work logs and send a baseline
             # report; validate it lands exactly on the checkpoint state.
+            replayed = [i for i in sorted(fleet.workers) if book.work_log[i]]
             if replayed:
                 deadline = None
                 if self.round_timeout is not None:
@@ -1248,8 +1081,8 @@ class ParallelSimulation:
                     deadline = time.monotonic() + self.round_timeout * max(
                         1, longest
                     )
-                baselines, failed = _drain(
-                    transport, slaves, replayed, deadline
+                baselines, failed = fleet.collect(
+                    dict.fromkeys(replayed, deadline), every=True
                 )
                 if failed:
                     slave_id = min(failed)
@@ -1260,25 +1093,23 @@ class ParallelSimulation:
                 for slave_id in sorted(baselines):
                     self._check_replay(book, slave_id, baselines[slave_id])
             while rounds < self.max_rounds and not converged:
-                if self._deadline_exceeded(measure_started, rounds):
+                if fleet.over_deadline(False, f"run of {rounds} round(s)"):
                     deadline_stopped = True
                     break
                 rounds += 1
                 chunk = self._round_chunk(rounds)
                 self._trace_scheduled_faults(rounds)
                 commanded: Dict[int, int] = {}
-                dead_this_round: List[int] = []
-                for slave_id in sorted(slaves):
+                for slave_id in sorted(fleet.workers):
                     quota = book.command_quota(slave_id, chunk)
                     try:
-                        slaves[slave_id].send(("chunk", quota))
+                        fleet.workers[slave_id].send(("chunk", quota))
                         commanded[slave_id] = quota
                     except (BrokenPipeError, OSError) as error:
-                        self._mark_dead(
-                            book, slave_id, rounds,
-                            f"{CAUSE_SEND_FAILED}: {error}", quota,
+                        book.owed[slave_id] = quota
+                        fleet.condemn(
+                            slave_id, f"{CAUSE_SEND_FAILED}: {error}"
                         )
-                        dead_this_round.append(slave_id)
                 deadline = (
                     time.monotonic() + self.round_timeout
                     if self.round_timeout is not None
@@ -1286,15 +1117,12 @@ class ParallelSimulation:
                 )
                 # Any report that arrives within the round window
                 # counts, whatever the arrival order.
-                received, failed = _drain(
-                    transport, slaves, commanded, deadline
+                received, failed = fleet.collect(
+                    dict.fromkeys(commanded, deadline), every=True
                 )
                 for slave_id in sorted(failed):
-                    self._mark_dead(
-                        book, slave_id, rounds, failed[slave_id],
-                        commanded[slave_id],
-                    )
-                    dead_this_round.append(slave_id)
+                    book.owed[slave_id] = commanded[slave_id]
+                    fleet.condemn(slave_id, failed[slave_id])
                 # Validate and merge in slave-id order regardless of
                 # arrival order: float accumulation is not associative,
                 # and merged digests must stay bit-identical run-to-run
@@ -1304,78 +1132,59 @@ class ParallelSimulation:
                     report = received[slave_id]
                     problem = self._report_problem(report, slave_id, schemes)
                     if problem is not None:
-                        self._mark_dead(
-                            book, slave_id, rounds,
-                            f"{CAUSE_CORRUPT_PAYLOAD}: {problem}",
-                            commanded[slave_id],
+                        book.owed[slave_id] = commanded[slave_id]
+                        fleet.condemn(
+                            slave_id, f"{CAUSE_CORRUPT_PAYLOAD}: {problem}"
                         )
-                        dead_this_round.append(slave_id)
                         continue
                     reports.append(report)
                     book.on_reported(slave_id, commanded[slave_id], report)
-                for slave_id in sorted(dead_this_round):
-                    # Forget the dead/condemned slave's endpoint; reap it.
-                    endpoint = slaves.pop(slave_id)
-                    endpoint.close()
-                    transport.reap(endpoint)
-                    dead.append(slave_id)
                 self._trace_round(rounds, reports)
                 merged = self._merge_round(merged, reports, schemes, rounds)
                 converged = self._all_converged(merged, targets)
                 if self._progress is not None:
                     self._progress.parallel_update(rounds, merged, targets)
                 if not converged:
-                    for slave_id in self._respawn_candidates(book, dead):
-                        generation = book.generation[slave_id] + 1
-                        delay = self.respawn.delay(
-                            generation,
-                            jitter_seed=slave_seed(
-                                self.master_seed, slave_id, generation
-                            ),
-                        )
-                        if delay > 0.0:
-                            # Round-synchronous barrier: all reports for
-                            # this round are already merged, so the wait
-                            # delays the next round start uniformly.  An
-                            # empty wait sleeps out its timeout on a real
-                            # transport and returns at once in-process.
-                            transport.wait([], timeout=delay)
-                        book.respawn(slave_id)
-                        try:
-                            slaves[slave_id] = self._spawn_slave(
-                                transport, slave_id, book, schemes,
-                                round_offset=rounds,
-                            )
-                        except TransportCapacityError:
-                            # No agent slot free: stay degraded this
-                            # round; the slave remains a respawn
-                            # candidate for the next one.
+                    fleet.settle()
+                    if fleet.due:
+                        latest = max(due for due, _ in fleet.due.values())
+                        # The round barrier: every report of this round
+                        # is merged, so one wait for the latest due time
+                        # delays the next round for every slave alike,
+                        # and the backoffs of one round overlap.
+                        fleet.wait_until(latest)
+                        for slave_id in fleet.due:
+                            book.retire(slave_id)
+                        fleet.admit(until=latest)
+                        for slave_id in sorted(fleet.due):
+                            # No agent slot free: the slave stays dead
+                            # this round; its respawn is retried after
+                            # the next one.
                             self._trace_event(
                                 "respawn_no_capacity",
                                 slave=slave_id,
                                 round=rounds,
                             )
-                            continue
-                        dead.remove(slave_id)
-                        self._trace_event(
-                            "respawn",
-                            slave=slave_id,
-                            round=rounds,
-                            generation=book.generation[slave_id],
-                            seed=book.seed[slave_id],
-                            backoff=delay,
+                if not fleet.workers:
+                    message = (
+                        f"every slave has died ({self.n_slaves} started, "
+                        f"last loss in round {rounds}); no survivors to "
+                        "finish the run"
+                    )
+                    if self.supervision is not None:
+                        raise SupervisionError(
+                            message, cause=CAUSE_FLEET_EXHAUSTED
                         )
-                self._enforce_fleet(len(slaves), rounds)
+                    raise ParallelError(message)
+                fleet.check_floor()
                 self._maybe_checkpoint(
-                    book, schemes, targets, merged, rounds, dead
+                    book, fleet, schemes, targets, merged, rounds
                 )
         finally:
-            transport.shutdown(
-                [slaves[i] for i in sorted(slaves)]
-            )
+            fleet.shutdown()
             if transport is not self.transport:
                 transport.close()
         return self._result(
-            book, merged, targets, converged, rounds, reports, dead,
+            book, fleet, merged, targets, converged, rounds, reports,
             force_degraded=deadline_stopped,
         )

@@ -41,10 +41,9 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.parallel.transport import (
     CLOSE_LIVENESS,
+    ChannelEndpoint,
+    ChannelTransport,
     FrameSequencer,
-    Transport,
-    WorkerEndpoint,
-    raise_for_close,
 )
 
 
@@ -171,17 +170,11 @@ class _MemoryChannel:
             self.transport._cond.notify_all()
 
 
-class InMemoryEndpoint(WorkerEndpoint):
+class InMemoryEndpoint(ChannelEndpoint):
     """One in-memory worker incarnation (thread behind a fake bridge)."""
 
     def __init__(self, channel: _MemoryChannel):
-        self.channel = channel
-        self.worker_id = channel.worker_id
-        self.generation = channel.generation
-        self._out_sequencer = FrameSequencer()
-
-    def stamp(self, message: object) -> object:
-        return self._out_sequencer.stamp(message)
+        super().__init__(channel, channel.worker_id, channel.generation)
 
     def send_frame(self, frame: object) -> None:
         if self.channel.closed:
@@ -190,53 +183,9 @@ class InMemoryEndpoint(WorkerEndpoint):
             )
         self.channel.to_worker(frame)
 
-    def send(self, message: object) -> None:
-        self.send_frame(self.stamp(message))
-
-    def recv(self) -> object:
-        return self.recv_raw()
-
-    def recv_raw(self) -> object:
-        cond = self.channel.transport._cond
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                cond.wait()
-            if self.channel.inbox:
-                return self.channel.inbox.popleft()
-        raise_for_close(self.channel.close_reason, self.worker_id)
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        cond = self.channel.transport._cond
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                if deadline is None:
-                    cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                cond.wait(remaining)
-            return True
-
     def close(self) -> None:
         self.channel.conn.shut()
         self.channel.mark_closed()
-
-    def set_raw_delivery(self, raw: bool) -> bool:
-        with self.channel.transport._cond:
-            self.channel.dedup = not raw
-        return True
-
-    def set_partition(self, direction: str) -> bool:
-        with self.channel.transport._cond:
-            if direction == "in":
-                self.channel.blackhole_in = True
-            else:
-                self.channel.blackhole_out = True
-        return True
 
     def inject_close(self, reason: Optional[str] = None) -> bool:
         """Tear the channel down as the chaos layer's crash primitive."""
@@ -252,7 +201,7 @@ class InMemoryEndpoint(WorkerEndpoint):
         }
 
 
-class InMemoryTransport(Transport):
+class InMemoryTransport(ChannelTransport):
     """Thread-backed fake of the remote transport's frame pipeline.
 
     Parameters
@@ -345,27 +294,6 @@ class InMemoryTransport(Transport):
             generation=generation,
         )
         return InMemoryEndpoint(channel)
-
-    def wait(self, endpoints, timeout=None):
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with self._cond:
-            while True:
-                ready = [
-                    endpoint
-                    for endpoint in endpoints
-                    if endpoint.channel.inbox or endpoint.channel.closed
-                ]
-                if ready:
-                    return ready
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                self._cond.wait(remaining)
 
     def capacity(self) -> int:
         # Threads are always spawnable, like forks on the local

@@ -26,15 +26,17 @@ transports let workers join and leave mid-run: a vacated slot returns
 to the join queue instead of permanently degrading the fleet, and new
 agents are admitted between drains up to ``n_workers``.
 
-Fault tolerance mirrors the master's contract: every recv carries a
+Fault tolerance is the master's: both supervise their workers through
+one :class:`~repro.parallel.fleet.Fleet`.  Every recv carries a
 deadline, every death gets a machine-readable cause code from
-:mod:`repro.parallel.protocol`, a dead worker's in-flight point is
-requeued (a death costs one point's recompute, not the sweep), and a
+:mod:`repro.parallel.protocol`, and a
 :class:`~repro.faults.recovery.RespawnPolicy` replaces the worker under
-a fresh generation.  Respawn backoff never blocks the scheduling loop:
-a condemned worker is given a *due time* which is folded into the
-result-wait timeout, so healthy workers keep reporting while a
-replacement waits out its backoff.  A seeded
+a fresh generation.  The pool adds its job queue: a dead worker's
+in-flight point is requeued (a death costs one point's recompute, not
+the sweep).  Respawn backoff never blocks the scheduling loop: a
+settled death gets a *due time*, folded into the result-wait timeout,
+and only replacements already due are admitted, so healthy workers
+keep reporting while a replacement waits out its backoff.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
 for chaos tests; ``round`` in a spec addresses the n-th configure of
 one worker incarnation (1-based).
@@ -45,34 +47,20 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import (
-    RespawnPolicy,
-    SupervisionError,
-    SupervisionPolicy,
-    derive_seed,
-)
+from repro.faults.recovery import RespawnPolicy, SupervisionPolicy
+from repro.parallel.fleet import Fleet
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
-    CAUSE_DEADLINE_EXCEEDED,
-    CAUSE_FLEET_EXHAUSTED,
-    CAUSE_HEARTBEAT_TIMEOUT,
     CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
     CAUSE_WORKER_LEFT,
     ParallelError,
 )
-from repro.parallel.transport import (
-    FrameError,
-    LocalPipeTransport,
-    Transport,
-    TransportCapacityError,
-    WorkerEndpoint,
-    disconnect_cause,
-)
+from repro.parallel.transport import LocalPipeTransport, Transport
 
 
 class PoolError(ParallelError):
@@ -253,18 +241,27 @@ class WorkerPool:
         self.join_timeout = join_timeout
         if tracer is not None:
             self.transport.attach_tracer(tracer)
-        #: worker id -> live endpoint (one object per incarnation).
-        self._workers: Dict[int, WorkerEndpoint] = {}
-        self._generation: Dict[int, int] = {}
-        self._restarts: Dict[int, int] = {}
-        #: worker id -> (respawn due time, backoff used) — scheduled
-        #: replacements that have not been admitted yet.
-        self._respawn_at: Dict[int, Tuple[float, float]] = {}
-        #: Slots waiting for an elastic join (never permanently dead).
-        self._unbound: Set[int] = set()
+        elastic = self.transport.elastic
+        # Over an elastic socket transport an EOF usually means the
+        # worker's host agent left the fleet, and its slot goes back
+        # to the join queue; fault specs address the n-th configure of
+        # one incarnation.
+        self._fleet = Fleet(
+            self.transport,
+            _pool_worker_main,
+            self._worker_args,
+            master_seed=master_seed,
+            respawn=respawn,
+            supervision=supervision,
+            fault_plan=fault_plan,
+            eof_cause=CAUSE_WORKER_LEFT if elastic else CAUSE_PIPE_CLOSED,
+            rejoin=elastic,
+            floor_counts_pending=True,
+            spawn_timeout=0.0,
+            trace=self._trace if tracer is not None else None,
+        )
         self._started = False
-        self._below_min_traced = False
-        self.stats = PoolStats(n_workers=n_workers)
+        self._stats = PoolStats(n_workers=n_workers)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -279,26 +276,8 @@ class WorkerPool:
         if self.tracer is not None:
             self.tracer.event(name, component="pool", **fields)
 
-    def _worker_faults(self, worker_id: int, generation: int):
-        if self.fault_plan is None:
-            return ()
-        return self.fault_plan.for_slave(worker_id, generation)
-
-    def _spawn(self, worker_id: int, timeout: Optional[float] = None) -> None:
-        generation = self._generation.setdefault(worker_id, 0)
-        endpoint = self.transport.spawn(
-            worker_id,
-            generation,
-            _pool_worker_main,
-            (
-                worker_id,
-                self.runner,
-                self._worker_faults(worker_id, generation),
-            ),
-            timeout=timeout,
-        )
-        self._workers[worker_id] = endpoint
-        self._trace("spawn", worker=worker_id, generation=generation)
+    def _worker_args(self, worker_id: int, generation: int, faults) -> tuple:
+        return (worker_id, self.runner, faults)
 
     def start(self) -> None:
         """Bring the fleet up (idempotent).
@@ -312,271 +291,43 @@ class WorkerPool:
         if self._started:
             return
         self.transport.start()
-        if self.transport.elastic:
-            self._unbound = set(range(self.n_workers))
-            self._admit_capacity()
-        else:
-            for worker_id in range(self.n_workers):
-                self._restarts.setdefault(worker_id, 0)
-                self._spawn(worker_id)
+        self._fleet.start(range(self.n_workers))
         self._started = True
 
     def shutdown(self) -> None:
         """Stop every worker, escalating join → terminate → kill."""
-        if not self._started and not self._workers:
+        if not self._started and not self._fleet.workers:
             return
-        self.transport.shutdown(
-            [self._workers[i] for i in sorted(self._workers)]
-        )
+        self._fleet.shutdown()
         if self._owns_transport:
             self.transport.close()
-        self._workers.clear()
-        self._respawn_at.clear()
-        self._unbound.clear()
         self._started = False
 
     @property
     def alive_workers(self) -> List[int]:
         """Worker ids currently accepting configures."""
-        return sorted(self._workers)
+        return sorted(self._fleet.workers)
 
-    # -- capacity admission --------------------------------------------------
+    @property
+    def stats(self) -> PoolStats:
+        """Health accounting, current as of this call."""
+        stats, fleet = self._stats, self._fleet
+        stats.deaths = fleet.deaths
+        stats.restarts = fleet.total_restarts
+        stats.joins = fleet.joins
+        stats.failure_causes = fleet.lost()
+        return stats
 
-    def _admit_capacity(self) -> None:
-        """Spawn due respawns and bind newly joined elastic slots.
+    def _lose(self, worker_id: int, cause: str, pending, busy) -> None:
+        """Condemn one worker; its in-flight point goes back to the queue.
 
-        Called at the top of every scheduling iteration so replacement
-        capacity is claimed *between* drains — the fleet never mutates
-        mid-drain, which is what makes endpoint-identity dispatch in
-        :meth:`_drain_ready` airtight.
+        A death costs exactly that one point's recompute.
         """
-        now = time.monotonic()
-        for worker_id in sorted(self._respawn_at):
-            due, backoff = self._respawn_at[worker_id]
-            if now < due:
-                continue
-            try:
-                self._spawn(worker_id, timeout=0.0)
-            except TransportCapacityError:
-                # No agent slot free yet; stays scheduled and will be
-                # retried once one registers.
-                continue
-            del self._respawn_at[worker_id]
-            self._restarts[worker_id] = self._restarts.get(worker_id, 0) + 1
-            self.stats.restarts += 1
-            self._trace(
-                "respawn",
-                worker=worker_id,
-                generation=self._generation[worker_id],
-                backoff=backoff,
-            )
-        while self._unbound and self.transport.capacity() > 0:
-            worker_id = min(self._unbound)
-            try:
-                self._spawn(worker_id, timeout=0.0)
-            except TransportCapacityError:
-                break  # lost the race with another claimant
-            self._unbound.discard(worker_id)
-            self._restarts.setdefault(worker_id, 0)
-            self.stats.joins += 1
-            self._trace(
-                "join",
-                worker=worker_id,
-                generation=self._generation[worker_id],
-            )
-
-    def _respawn_due_times(self) -> List[float]:
-        return [due for due, _ in self._respawn_at.values()]
-
-    def _await_any_worker(self) -> bool:
-        """Block until the empty fleet could hold a worker again.
-
-        Returns False when no worker can ever arrive — no respawn is
-        scheduled and (for elastic transports) no agent joined within
-        ``join_timeout`` — at which point the caller raises
-        :class:`PoolError`.
-        """
-        dues = self._respawn_due_times()
-        if dues:
-            delay = min(dues) - time.monotonic()
-            if delay > 0:
-                # The fleet is empty, so waiting out the earliest
-                # backoff stalls nobody.
-                time.sleep(delay)  # simlint: disable=blocking-sleep-in-transport
-                return True
-            if self.transport.capacity() > 0:
-                return True
-            return self.transport.wait_for_capacity(self.join_timeout)
-        if self._unbound and self.transport.elastic:
-            if self.transport.capacity() > 0:
-                return True
-            return self.transport.wait_for_capacity(self.join_timeout)
-        return False
-
-    # -- supervision ---------------------------------------------------------
-
-    def _effective_workers(self) -> int:
-        """Workers that can still contribute: live + scheduled respawns
-        + (elastic only) slots an agent could rejoin."""
-        effective = len(self._workers) + len(self._respawn_at)
-        if self.transport.elastic:
-            effective += len(self._unbound)
-        return effective
-
-    def _enforce_supervision(self, map_started: float) -> None:
-        """Deadline and fleet-floor checks, once per scheduling turn.
-
-        A raised :class:`SupervisionError` leaves in-flight reports
-        undrained — call :meth:`shutdown` before reusing the pool.
-        """
-        policy = self.supervision
-        if policy is None:
-            return
-        if policy.deadline is not None:
-            elapsed = time.monotonic() - map_started
-            if elapsed > policy.deadline:
-                raise SupervisionError(
-                    f"sweep exceeded its deadline ({elapsed:.1f}s > "
-                    f"{policy.deadline:.1f}s) with "
-                    f"{self.stats.jobs_completed} job(s) completed",
-                    cause=CAUSE_DEADLINE_EXCEEDED,
-                )
-        effective = self._effective_workers()
-        if policy.fleet_ok(effective):
-            self._below_min_traced = False
-            return
-        if policy.on_exhausted == "abort":
-            raise SupervisionError(
-                f"pool fleet fell to {effective} effective worker(s), "
-                f"below min_workers={policy.min_workers}; causes: "
-                f"{self.stats.failure_causes}",
-                cause=CAUSE_FLEET_EXHAUSTED,
-            )
-        if not self._below_min_traced:
-            self._below_min_traced = True
-            self._trace(
-                "fleet_below_minimum",
-                effective=effective,
-                min_workers=policy.min_workers,
-            )
-
-    # -- failure handling ----------------------------------------------------
-
-    def _eof_cause(self) -> str:
-        """Cause code for a dropped worker connection.
-
-        Over pipes an EOF means the forked worker died; over an elastic
-        socket transport it usually means its host agent left the
-        fleet, so the distinction is surfaced in the cause code.
-        """
-        return (
-            CAUSE_WORKER_LEFT if self.transport.elastic else CAUSE_PIPE_CLOSED
-        )
-
-    def _condemn(
-        self, worker_id: int, cause: str,
-        pending: deque, busy: Dict[int, tuple],
-    ) -> None:
-        """Drop one worker; requeue its in-flight job; plan replacement.
-
-        Replacement is *scheduled*, never performed here: a respawn
-        gets a due time (now + backoff) recorded in ``_respawn_at`` and
-        is admitted by :meth:`_admit_capacity` once due, so an
-        exponential backoff never blocks result collection from the
-        healthy rest of the fleet.
-        """
-        self.stats.deaths += 1
         assignment = busy.pop(worker_id, None)
         if assignment is not None:
-            # The dead worker costs exactly its one in-flight point.
             pending.appendleft(assignment[0])
-            self.stats.jobs_requeued += 1
-        endpoint = self._workers.pop(worker_id, None)
-        if endpoint is not None:
-            endpoint.close()
-            self.transport.reap(endpoint)
-        generation = self._generation.get(worker_id, 0)
-        self._trace(
-            "dead", worker=worker_id, cause=cause, generation=generation
-        )
-        # The next incarnation — respawn or rejoin — always gets a
-        # fresh generation so seed lineage and fault addressing never
-        # collide with the dead one.
-        self._generation[worker_id] = generation + 1
-        if self.respawn is not None and self.respawn.allows(
-            self._restarts.get(worker_id, 0), self.stats.restarts
-        ):
-            delay = self.respawn.delay(
-                generation + 1,
-                jitter_seed=derive_seed(
-                    self.master_seed, worker_id, generation + 1
-                ),
-            )
-            self._respawn_at[worker_id] = (time.monotonic() + delay, delay)
-        elif self.transport.elastic:
-            # Elastic fleets shrink and re-grow: the slot goes back to
-            # the join queue instead of being branded permanently dead.
-            self._unbound.add(worker_id)
-            self._trace("slot_vacated", worker=worker_id, cause=cause)
-        else:
-            self.stats.failure_causes[worker_id] = cause
-
-    def _drain_busy(self, pending: deque, busy: Dict[int, tuple]) -> None:
-        """Absorb every in-flight report before :meth:`map` raises.
-
-        When a job errors, ``map`` aborts — but other workers still owe
-        reports for their in-flight jobs.  Leaving those unread would
-        poison the next ``map()`` call: it would read the stale
-        ``("result", old_job_id, ...)`` messages first, mismatch them
-        against its own jobs, and condemn perfectly healthy workers as
-        corrupt.  So before raising we wait each straggler out (against
-        its original deadline), discard its report, and condemn only
-        the ones that actually die or time out.
-        """
-        drained = 0
-        while busy:
-            deadlines = [d for _, d in busy.values() if d is not None]
-            remaining = (
-                max(0.0, min(deadlines) - time.monotonic())
-                if deadlines
-                else None
-            )
-            endpoints = [self._workers[w] for w in sorted(busy)]
-            ready = self.transport.wait(endpoints, timeout=remaining)
-            if not ready:
-                now = time.monotonic()
-                for worker_id in sorted(busy):
-                    deadline = busy[worker_id][1]
-                    if deadline is not None and now >= deadline:
-                        self._condemn(
-                            worker_id, CAUSE_HEARTBEAT_TIMEOUT, pending, busy
-                        )
-                continue
-            for endpoint in ready:
-                worker_id = endpoint.worker_id
-                if (
-                    self._workers.get(worker_id) is not endpoint
-                    or worker_id not in busy
-                ):
-                    continue
-                try:
-                    endpoint.recv()
-                except (
-                    FrameError, EOFError, ConnectionResetError,
-                    BrokenPipeError, OSError,
-                ) as error:
-                    self._condemn(
-                        worker_id,
-                        disconnect_cause(error, self._eof_cause()),
-                        pending, busy,
-                    )
-                    continue
-                # Whatever the worker reported — result or error — the
-                # assignment is absorbed and the worker is idle again.
-                busy.pop(worker_id)
-                drained += 1
-        if drained:
-            self._trace("drain", absorbed=drained)
+            self._stats.jobs_requeued += 1
+        self._fleet.condemn(worker_id, cause)
 
     # -- the scheduling loop -------------------------------------------------
 
@@ -588,45 +339,51 @@ class WorkerPool:
         in-flight job; a job that *raises* inside a worker surfaces as
         :class:`PoolJobError` immediately (it would fail identically on
         any worker) — after the in-flight work of other workers has
-        been drained, so the pool stays reusable.
+        been drained, so the pool stays reusable.  A raised
+        :class:`SupervisionError` leaves in-flight reports undrained:
+        call :meth:`shutdown` before reusing the pool.
         """
         self.start()
+        fleet = self._fleet
         pending: deque = deque(jobs)
         busy: Dict[int, tuple] = {}  # worker -> ((job_id, payload), deadline)
         results: Dict[object, dict] = {}
-        map_started = time.monotonic()
+        fleet.start_clock()
         while pending or busy:
-            self._admit_capacity()
-            self._enforce_supervision(map_started)
-            if not self._workers:
+            # Deaths are decided, and replacement capacity claimed,
+            # only *between* drains: the fleet never changes mid-drain.
+            fleet.settle()
+            fleet.admit()
+            fleet.over_deadline(
+                True, f"sweep with {self._stats.jobs_completed} job(s) done"
+            )
+            fleet.check_floor()
+            if not fleet.workers:
                 if busy:  # pragma: no cover - invariant guard
                     raise PoolError("busy workers without endpoints")
-                if not self._await_any_worker():
+                if not fleet.await_worker(self.join_timeout):
                     raise PoolError(
                         f"every pool worker has died "
                         f"({self.n_workers} started); causes: "
-                        f"{self.stats.failure_causes}"
+                        f"{fleet.lost()}"
                     )
                 continue
             # Feed every idle worker before blocking.
-            for worker_id in sorted(self._workers):
+            for worker_id in sorted(fleet.workers):
                 if not pending:
                     break
                 if worker_id in busy:
                     continue
                 job = pending.popleft()
                 try:
-                    self._workers[worker_id].send(
+                    fleet.workers[worker_id].send(
                         ("configure", job[0], job[1])
                     )
                 except (BrokenPipeError, OSError) as error:
                     # The job never started, so it goes straight back to
                     # the queue without counting as a requeue.
                     pending.appendleft(job)
-                    self._condemn(
-                        worker_id, f"{CAUSE_SEND_FAILED}: {error}",
-                        pending, busy,
-                    )
+                    fleet.condemn(worker_id, f"{CAUSE_SEND_FAILED}: {error}")
                     continue
                 deadline = (
                     time.monotonic() + self.job_timeout
@@ -636,81 +393,27 @@ class WorkerPool:
                 busy[worker_id] = (job, deadline)
             if not busy:
                 continue  # all survivors were condemned while feeding
+            fleet.settle()  # deaths while feeding
             # Wake for whichever comes first: a job deadline or a
             # scheduled respawn becoming due.
-            now = time.monotonic()
-            wake_points = [d for _, d in busy.values() if d is not None]
-            overdue = False
-            for due in self._respawn_due_times():
-                if due > now:
-                    wake_points.append(due)
-                else:
-                    # Due but blocked on capacity (elastic lobby empty);
-                    # poll rather than spin on a zero timeout.
-                    overdue = True
-            remaining = (
-                max(0.0, min(wake_points) - now) if wake_points else None
+            received, failed = fleet.collect(
+                {w: busy[w][1] for w in sorted(busy)},
+                wake=fleet.wake_time(poll_joins=bool(pending)),
             )
-            if self.transport.elastic and pending and (
-                self._unbound or overdue
-            ):
-                # Poll for newly joined agents while the fleet is
-                # under strength and there is work they could pull.
-                remaining = (
-                    0.5 if remaining is None else min(remaining, 0.5)
-                )
-            ready = self.transport.wait(
-                [self._workers[w] for w in sorted(busy)], timeout=remaining
-            )
-            if not ready:
-                now = time.monotonic()
-                for worker_id in sorted(busy):
-                    deadline = busy[worker_id][1]
-                    if deadline is not None and now >= deadline:
-                        self._condemn(
-                            worker_id, CAUSE_HEARTBEAT_TIMEOUT, pending, busy
-                        )
-                continue
-            for endpoint in ready:
-                # Dispatch by endpoint identity, never by id() of an
-                # underlying connection: a condemned worker's endpoint
-                # is popped from ``_workers``, so a stale readiness
-                # signal for it simply skips (the replacement, admitted
-                # only between drains, is a different object and can
-                # never inherit the old one's messages).
-                worker_id = endpoint.worker_id
-                if (
-                    self._workers.get(worker_id) is not endpoint
-                    or worker_id not in busy
-                ):
-                    continue
+            job_error = None
+            for worker_id in sorted({**received, **failed}):
                 job = busy[worker_id][0]
-                try:
-                    message = endpoint.recv()
-                except (
-                    FrameError, EOFError, ConnectionResetError,
-                    BrokenPipeError, OSError,
-                ) as error:
-                    self._condemn(
-                        worker_id,
-                        disconnect_cause(error, self._eof_cause()),
-                        pending, busy,
-                    )
+                if worker_id in failed:
+                    self._lose(worker_id, failed[worker_id], pending, busy)
                     continue
+                message = received[worker_id]
                 tag = message[0] if isinstance(message, tuple) else None
                 if tag == "error" and message[1] == job[0]:
-                    # Deterministic job failure: absorb everyone else's
-                    # in-flight reports first so the fleet is clean for
-                    # the next map(), then surface the error.
                     busy.pop(worker_id)
-                    self._drain_busy(pending, busy)
-                    raise PoolJobError(
-                        f"job {message[1]!r} failed in worker "
-                        f"{worker_id}: {message[2]}",
-                        job_id=message[1],
-                    )
-                if tag not in ("result", "error") or message[1] != job[0]:
-                    self._condemn(
+                    job_error = job_error or (worker_id, message)
+                    continue
+                if tag != "result" or message[1] != job[0]:
+                    self._lose(
                         worker_id,
                         f"{CAUSE_CORRUPT_PAYLOAD}: unexpected message "
                         f"{tag!r}",
@@ -724,7 +427,7 @@ class WorkerPool:
                     else None
                 )
                 if problem is not None:
-                    self._condemn(
+                    self._lose(
                         worker_id,
                         f"{CAUSE_CORRUPT_PAYLOAD}: {problem}",
                         pending, busy,
@@ -732,5 +435,23 @@ class WorkerPool:
                     continue
                 busy.pop(worker_id)
                 results[job[0]] = payload
-                self.stats.jobs_completed += 1
+                self._stats.jobs_completed += 1
+            if job_error is not None:
+                # A deterministic job failure.  Absorb every in-flight
+                # report first: left unread, a stale result would be
+                # read by the next map(), mismatched against its jobs,
+                # and condemn a healthy worker as corrupt.
+                absorbed, failed = fleet.collect(
+                    {w: busy[w][1] for w in sorted(busy)}, every=True
+                )
+                for worker_id in sorted(failed):
+                    self._lose(worker_id, failed[worker_id], pending, busy)
+                if absorbed:
+                    self._trace("drain", absorbed=len(absorbed))
+                worker_id, message = job_error
+                raise PoolJobError(
+                    f"job {message[1]!r} failed in worker "
+                    f"{worker_id}: {message[2]}",
+                    job_id=message[1],
+                )
         return results

@@ -722,10 +722,16 @@ class _AgentChannel:
             self.transport._cond.notify_all()
 
 
-class RemoteEndpoint(WorkerEndpoint):
-    """A worker slot on a remote agent, bridged over one TCP stream."""
+class ChannelEndpoint(WorkerEndpoint):
+    """A worker behind a channel whose inbox and closed flag are guarded
+    by its transport's condition variable: a remote agent slot, or the
+    in-memory fake of one (:mod:`repro.parallel.memory`).
 
-    def __init__(self, channel: _AgentChannel, worker_id, generation):
+    Subclasses deliver frames (:meth:`send_frame`) and close the
+    channel their own way.
+    """
+
+    def __init__(self, channel, worker_id, generation):
         self.channel = channel
         self.worker_id = worker_id
         self.generation = generation
@@ -733,13 +739,6 @@ class RemoteEndpoint(WorkerEndpoint):
 
     def stamp(self, message: object) -> object:
         return self._out_sequencer.stamp(message)
-
-    def send_frame(self, frame: object) -> None:
-        if self.channel.closed:
-            raise BrokenPipeError(
-                f"remote worker {self.worker_id} connection is closed"
-            )
-        self.channel.transport._send_async(self.channel, frame)
 
     def send(self, message: object) -> None:
         self.send_frame(self.stamp(message))
@@ -756,6 +755,9 @@ class RemoteEndpoint(WorkerEndpoint):
                 return self.channel.inbox.popleft()
         raise_for_close(self.channel.close_reason, self.worker_id)
 
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        return bool(self.channel.transport.wait([self], timeout))
+
     def set_raw_delivery(self, raw: bool) -> bool:
         with self.channel.transport._cond:
             self.channel.dedup = not raw
@@ -769,26 +771,47 @@ class RemoteEndpoint(WorkerEndpoint):
                 self.channel.blackhole_out = True
         return True
 
+
+class ChannelTransport(Transport):
+    """A transport of :class:`ChannelEndpoint` workers whose channels
+    share one condition variable, ``_cond``."""
+
+    def wait(self, endpoints, timeout=None):
+        deadline = (
+            time.monotonic() + timeout if timeout is not None else None
+        )
+        with self._cond:
+            while True:
+                ready = [
+                    endpoint
+                    for endpoint in endpoints
+                    if endpoint.channel.inbox or endpoint.channel.closed
+                ]
+                if ready:
+                    return ready
+                if deadline is None:
+                    self._cond.wait()
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return []
+                self._cond.wait(remaining)
+
+
+class RemoteEndpoint(ChannelEndpoint):
+    """A worker slot on a remote agent, bridged over one TCP stream."""
+
+    def send_frame(self, frame: object) -> None:
+        if self.channel.closed:
+            raise BrokenPipeError(
+                f"remote worker {self.worker_id} connection is closed"
+            )
+        self.channel.transport._send_async(self.channel, frame)
+
     def inject_close(self, reason: Optional[str] = None) -> bool:
         self.channel.mark_closed(reason)
         self.channel.transport._close_channel(self.channel)
         return True
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        cond = self.channel.transport._cond
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                if deadline is None:
-                    cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                cond.wait(remaining)
-            return True
 
     def close(self) -> None:
         self.channel.transport._close_channel(self.channel)
@@ -803,7 +826,7 @@ class RemoteEndpoint(WorkerEndpoint):
         }
 
 
-class RemoteTransport(Transport):
+class RemoteTransport(ChannelTransport):
     """Master side of the multi-host fleet: a TCP registration server.
 
     The master listens; :mod:`repro.parallel.agent` processes dial in
@@ -1203,27 +1226,6 @@ class RemoteTransport(Transport):
         if self.address is None:
             return f"{self.host}:{self.port}"
         return f"{self.address[0]}:{self.address[1]}"
-
-    def wait(self, endpoints, timeout=None):
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with self._cond:
-            while True:
-                ready = [
-                    endpoint
-                    for endpoint in endpoints
-                    if endpoint.channel.inbox or endpoint.channel.closed
-                ]
-                if ready:
-                    return ready
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                self._cond.wait(remaining)
 
     def reap(self, endpoint) -> None:
         self._close_channel(endpoint.channel)

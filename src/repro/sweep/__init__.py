@@ -10,8 +10,8 @@ pattern into infrastructure:
   :func:`repro.faults.recovery.derive_seed` lineage and a canonical
   content digest.
 - :class:`SweepRunner` — executes the points over a persistent
-  :class:`repro.parallel.pool.WorkerPool` (or a per-point spawn loop,
-  or in-process), serving completed points from a content-addressed
+  :class:`repro.parallel.pool.WorkerPool` (or in-process), serving
+  completed points from a content-addressed
   :class:`SweepCache` so edits recompute only what changed.
 
 See ``docs/sweeps.md`` for the spec format and the caching /

@@ -29,7 +29,7 @@ from repro.faults import (
 from repro.faults.checkpoint import SlaveCheckpoint
 from repro.faults.injector import corrupt_payload
 from repro.parallel import ParallelError, ParallelSimulation
-from repro.parallel.master import slave_seed
+from repro.parallel.master import _InProcessTransport, slave_seed
 from repro.parallel.protocol import validate_report_payload
 
 
@@ -49,6 +49,19 @@ def factory(seed, load=0.6, accuracy=0.05):
 
 
 NO_BACKOFF = RespawnPolicy(backoff_base=0.0, jitter=0.0)
+
+
+class RecordingTransport(_InProcessTransport):
+    """In-process slaves; records every empty wait (a backoff sleep)."""
+
+    def __init__(self):
+        super().__init__()
+        self.sleeps = []
+
+    def wait(self, endpoints, timeout=None):
+        if not endpoints:
+            self.sleeps.append(timeout)
+        return super().wait(endpoints, timeout)
 
 
 # -- plan ---------------------------------------------------------------------
@@ -477,6 +490,23 @@ class TestRecovery:
         assert result.converged
         assert result.dead_slaves == [0]
         assert result.failure_causes == {0: "heartbeat timeout"}
+
+    def test_backoffs_of_one_round_overlap(self):
+        # Two slaves die in round 1 under a 1 s backoff.  The master
+        # waits once, for the latest due time, before the next round:
+        # about 1 s in all, not one full backoff per dead slave.
+        plan = FaultPlan(specs=tuple(
+            FaultSpec(kind="kill", slave_id=i, round=1) for i in (0, 2)
+        ))
+        transport = RecordingTransport()
+        result = ParallelSimulation(
+            factory, fault_plan=plan,
+            respawn=RespawnPolicy(backoff_base=1.0, jitter=0.0),
+            **{**KW, "backend": "process", "transport": transport},
+        ).run()
+        assert result.restarts == 2 and not result.degraded
+        assert len(transport.sleeps) == 1
+        assert sum(transport.sleeps) == pytest.approx(1.0, abs=0.1)
 
     def test_all_slaves_dead_still_raises(self):
         plan = FaultPlan(specs=tuple(

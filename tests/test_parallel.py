@@ -340,6 +340,48 @@ class TestProcessBackend:
             simulation.run()
 
 
+def web_experiment(seed, mean, p95):
+    """Table-1 web service behind one M/G/1 server at load 0.7."""
+    from repro import Experiment, Server, Workload
+    from repro.distributions import Exponential
+    from repro.workloads.models import by_name
+
+    service = by_name("web").service
+    experiment = Experiment(seed=seed)
+    server = Server(cores=1)
+    experiment.add_source(
+        Workload("web", Exponential(rate=0.7 / service.mean()), service),
+        target=server,
+    )
+    experiment.track_response_time(
+        server, mean_accuracy=mean, quantiles={0.95: p95}
+    )
+    return experiment
+
+
+class TestSlavesNeverConvergeLocally:
+    def test_master_alone_judges_convergence(self):
+        # At this seed a slave's own statistic used to converge on its
+        # small sample and ignore every later observation: its deltas
+        # came back empty and the master ran to max_rounds unconverged.
+        results = [
+            ParallelSimulation(
+                web_experiment,
+                factory_kwargs={"mean": 0.06, "p95": 0.2},
+                n_slaves=2,
+                master_seed=708091293,
+                chunk_size=2000,
+                max_rounds=50,
+                backend=backend,
+            ).run()
+            for backend in ("serial", "process")
+        ]
+        for result in results:
+            assert result.converged
+            assert result.rounds == 2
+        assert results[0].merged_digests == results[1].merged_digests
+
+
 def one_dead_factory(seed, master_seed=11):
     """Master and slave 0 build fine; slave 1 crashes on construction.
 

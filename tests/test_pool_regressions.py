@@ -1,19 +1,23 @@
-"""Regression tests for three WorkerPool scheduling-loop bugs.
+"""Regression tests for WorkerPool scheduling-loop bugs.
 
-Each test pins one defect that shipped in the pre-transport pool:
+Each test pins one defect that shipped in an earlier pool:
 
 1. **Pool poisoning after a job error** — ``map`` raised
    :class:`PoolJobError` mid-drain and abandoned the other workers'
    in-flight results in their pipes; the *next* ``map`` read those
    stale reports first, mismatched them against its own jobs, and
    condemned healthy workers as corrupt.
-2. **Blocking respawn backoff** — ``_condemn`` slept the exponential
-   backoff inside the scheduling loop, stalling result collection from
-   every healthy worker while their job deadlines kept ticking.
+2. **Blocking respawn backoff** — condemning a worker slept the
+   exponential backoff inside the scheduling loop, stalling result
+   collection from every healthy worker while their job deadlines kept
+   ticking.
 3. **Dispatch by ``id()`` of a pipe** — the ready-connection lookup
    keyed on ``id(pipe)``, which a recycled allocation could alias to
    the wrong worker; dispatch now keys on endpoint identity and skips
    stale readiness signals outright.
+4. **Run-total budget ignored scheduled respawns** — two deaths before
+   the first replacement was admitted both got a respawn under
+   ``max_total_restarts=1``.
 """
 
 import time
@@ -96,7 +100,7 @@ class TestNonBlockingBackoff:
         assert pool.stats.deaths == 1
         assert pool.stats.jobs_requeued == 1
         assert pool.stats.failure_causes == {}
-        # Pre-fix the _condemn sleep alone made this >= 2.0 s.
+        # Pre-fix the backoff sleep alone made this >= 2.0 s.
         assert elapsed < 1.5, (
             f"map stalled {elapsed:.2f}s — respawn backoff is blocking "
             f"the scheduling loop"
@@ -264,3 +268,38 @@ class TestDispatchIdentity:
         results = pool.map([("a", {"x": 1})])
         assert set(results) == {"a"}
         assert pool.stats.deaths == 0
+
+
+def test_total_restart_budget_counts_scheduled_respawns():
+    """The run-total budget counts respawns scheduled but not admitted.
+
+    Workers 0 and 1 die on their first configure, both before the first
+    replacement's 0.3 s backoff is over.  With ``max_total_restarts=1``
+    exactly one of them may come back; the budget check used to see
+    only *admitted* respawns and scheduled both.
+    """
+    plan = FaultPlan(specs=tuple(
+        FaultPlan.single(
+            "kill", slave_id=worker, round=1, phase="pre_run"
+        ).specs[0]
+        for worker in (0, 1)
+    ))
+    pool = WorkerPool(
+        flaky_runner,
+        n_workers=3,
+        master_seed=5,
+        job_timeout=30.0,
+        respawn=RespawnPolicy(
+            max_total_restarts=1, backoff_base=0.3, jitter=0.0
+        ),
+        fault_plan=plan,
+    )
+    with pool:
+        results = pool.map(
+            [(f"j{i}", {"x": i, "sleep": 0.05}) for i in range(12)]
+        )
+    assert {name: doc["value"] for name, doc in results.items()} == {
+        f"j{i}": i for i in range(12)
+    }
+    assert pool.stats.restarts == 1
+    assert len(pool.stats.failure_causes) == 1
